@@ -57,9 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_one(scenario: Scenario, out_dir: pathlib.Path) -> pathlib.Path:
-    rows = run_scenario(scenario)
-    csv_path = out_dir / scenario.out
+def run_one(scenario: Scenario, csv_path: pathlib.Path, workers: int) -> pathlib.Path:
+    rows = run_scenario(scenario, workers)
     write_csv(scenario, rows, str(csv_path))
     gp_path = csv_path.parent / (csv_path.name + ".gp")
     # the plot script references the CSV by the same path used to write it,
@@ -82,10 +81,9 @@ def main(argv: list[str] | None = None) -> int:
                 beta_sq=beta_sq,
                 t_max=args.t_max,
                 n_steps=args.steps,
-                workers=args.workers,
-                out=f"{mode}-beta{beta_sq:g}.csv",
             )
-            written.append(run_one(scenario, out_dir))
+            csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
+            written.append(run_one(scenario, csv_path, args.workers))
 
     for mode in STATIONARY_MODES:
         for beta_sq in args.beta_sq:
@@ -95,10 +93,9 @@ def main(argv: list[str] | None = None) -> int:
                 beta_sq=beta_sq,
                 t_max=STATIONARY_T_MAX,
                 n_steps=STATIONARY_STEPS,
-                workers=args.workers,
-                out=f"{mode}-beta{beta_sq:g}.csv",
             )
-            written.append(run_one(scenario, out_dir))
+            csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
+            written.append(run_one(scenario, csv_path, args.workers))
 
     for path in written:
         print(f"wrote {path} and {path}.gp")

@@ -19,7 +19,6 @@ from .dynamics import (
     ModeParams,
     ProcessMatrix,
     QubitAmplitudes,
-    coefficients,
     evolve_state,
     reduced_qubit_density,
     single_qubit_map,
@@ -58,7 +57,6 @@ __all__ = [
     "VIBRATING_MODES",
     "bell_state",
     "choose_truncation",
-    "coefficients",
     "coherent_amplitudes",
     "concurrence",
     "emit_plot_script",

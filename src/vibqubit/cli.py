@@ -158,7 +158,8 @@ def _default_workers() -> int:
     return value
 
 
-def _build_scenario(args: argparse.Namespace) -> Scenario:
+def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str, int]:
+    """The scenario, the output path and the worker count of a `run` call."""
     settings: dict = {}
     mode = args.mode
     if args.config:
@@ -206,7 +207,7 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
 
     out = settings.pop("out", None) or f"{mode}.csv"
     workers = settings.pop("workers", None) or _default_workers()
-    return Scenario(
+    scenario = Scenario(
         mode=mode,
         c_e=ce,
         c_g=cg,
@@ -219,16 +220,15 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
         t_max=settings.pop("t_max", 2500.0),
         n_steps=settings.pop("steps", 501),
         tail_tol=settings.pop("tail_tol", 1e-12),
-        out=out,
-        workers=workers,
     )
+    return scenario, out, workers
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _build_scenario(args)
-    rows = run_scenario(scenario)
-    write_csv(scenario, rows, scenario.out)
-    print(f"wrote {len(rows)} rows to {scenario.out}")
+    scenario, out, workers = _build_scenario(args)
+    rows = run_scenario(scenario, workers)
+    write_csv(scenario, rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,7 @@ import numpy as np
 from .errors import ParameterError
 from .fock import CoherentAmplitudes
 
-#: column/row ordering of vectorized qubit densities: (ee, eg, ge, gg)
-QUBIT_BASIS = ("e", "g")
-
 _NORM_TOL = 1e-12
-_RESONANCE_RTOL = 1e-9
 _AMPLITUDE_RTOL = 1e-9
 _LAMB_DICKE_MAX = 0.3
 _LAMB_DICKE_WARN = 0.1
@@ -41,22 +38,15 @@ class ModeParams:
     """Physical parameters of one qubit + cavity + vibration subsystem.
 
     ``eta`` is the Lamb-Dicke parameter (dimensionless, must stay small),
-    ``kappa`` the qubit-cavity coupling rate.  ``alpha_mag`` / ``beta_mag``
-    are the coherent amplitudes of the vibrational and cavity modes.  The
-    angular frequencies are bookkeeping only: when all three are supplied
-    they must satisfy the red-sideband resonance ``omega0 - omega = omega_v``.
-    ``stationary_coupling`` is the rate used by the motionless-qubit
-    baseline and defaults to ``kappa``.
+    ``kappa`` the qubit-cavity coupling rate, which also drives the
+    motionless-qubit baseline.  ``alpha_mag`` / ``beta_mag`` are the
+    coherent amplitudes of the vibrational and cavity modes.
     """
 
     eta: float = 0.02
     kappa: float = 1.0
     alpha_mag: float = 1.0
     beta_mag: float = 1.0
-    omega0: float = 0.0
-    omega: float = 0.0
-    omega_v: float = 0.0
-    stationary_coupling: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eta <= _LAMB_DICKE_MAX):
@@ -72,20 +62,6 @@ class ModeParams:
             raise ParameterError(f"coupling kappa must be > 0, got {self.kappa!r}")
         if self.alpha_mag < 0 or self.beta_mag < 0:
             raise ParameterError("coherent amplitudes must be >= 0")
-        if min(self.omega0, self.omega, self.omega_v) < 0:
-            raise ParameterError("angular frequencies must be >= 0")
-        if self.omega0 > 0 and self.omega > 0 and self.omega_v > 0:
-            scale = max(self.omega0, self.omega, self.omega_v)
-            if abs((self.omega0 - self.omega) - self.omega_v) > _RESONANCE_RTOL * scale:
-                raise ParameterError(
-                    "frequencies violate the red-sideband resonance omega0 - omega = omega_v"
-                )
-        if self.stationary_coupling is None:
-            object.__setattr__(self, "stationary_coupling", self.kappa)
-        elif not (self.stationary_coupling > 0 and math.isfinite(self.stationary_coupling)):
-            raise ParameterError(
-                f"stationary coupling must be > 0, got {self.stationary_coupling!r}"
-            )
 
     @property
     def rabi_rate(self) -> float:
@@ -117,8 +93,6 @@ class GlobalState:
 
     e_branch: np.ndarray
     g_branch: np.ndarray
-    n_max_a: int
-    n_max_b: int
     time: float
 
     def __post_init__(self):
@@ -159,114 +133,72 @@ class ProcessMatrix:
         return self.matrix.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
-def _check_consistent(p: ModeParams, wa: CoherentAmplitudes, wb: CoherentAmplitudes | None):
-    pairs = [("alpha_mag", p.alpha_mag, wa)]
-    if wb is not None:
-        pairs.append(("beta_mag", p.beta_mag, wb))
-    for name, mag, w in pairs:
-        if abs(w.magnitude - mag) > _AMPLITUDE_RTOL * max(1.0, mag):
+def _check_consistent(
+    p: ModeParams, wa: CoherentAmplitudes | None, wb: CoherentAmplitudes
+) -> None:
+    for name, mag, w in (("alpha_mag", p.alpha_mag, wa), ("beta_mag", p.beta_mag, wb)):
+        if w is not None and abs(w.magnitude - mag) > _AMPLITUDE_RTOL * max(1.0, mag):
             raise ParameterError(
                 f"{name}={mag} disagrees with the supplied weights (magnitude {w.magnitude})"
             )
 
 
-def _shift_up(w: np.ndarray) -> np.ndarray:
-    """``w[k+1]`` aligned to index k; the entry past the grid reads 0."""
-    return np.concatenate([w[1:], [0.0]])
+def _shift(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
+    """``x`` moved by ``k`` = +1 or -1 along every axis.
 
-
-def _shift_down(w: np.ndarray) -> np.ndarray:
-    """``w[k-1]`` aligned to index k; the entry below the grid reads 0."""
-    return np.concatenate([[0.0], w[:-1]])
-
-
-def _coefficient_grids(
-    t: float,
-    p: ModeParams,
-    wa: CoherentAmplitudes,
-    wb: CoherentAmplitudes,
-    unshifted_d: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (a, b, c, d) coefficient grids at time ``t``.
-
-    The grids extend one level past the input truncation on both axes:
-    the lowering branch populates index (m+1, n+1) from (m, n), so the
-    extra row and column capture everything the closed form generates
-    from the truncated input.  The evolution is then exactly unitary on
-    that input and the norm deficit is the static truncation tail alone,
-    not an oscillating boundary leak.
-
-    With ``unshifted_d=True`` the qubit-lowering branch reuses the weights
-    at (m, n) instead of the index-shifted (m-1, n-1) ones.  That variant
-    does not conserve the norm and exists only so the regression suite can
-    demonstrate the defect; see ``coefficients``.
+    ``out[i] = x[i + k]``, and ``fill`` where ``i + k`` is off the grid.
     """
-    wm = np.concatenate([wa.weights, [0.0]])
-    wn = np.concatenate([wb.weights, [0.0]])
-    m = np.arange(wa.n_max + 2, dtype=float)[:, None]
-    n = np.arange(wb.n_max + 2, dtype=float)[None, :]
-    theta_up = p.rabi_rate * t * np.sqrt((m + 1.0) * (n + 1.0))
-    theta_dn = p.rabi_rate * t * np.sqrt(m * n)
-
-    base = np.outer(wm, wn)
-    a = base * np.cos(theta_up)
-    b = -1j * np.outer(_shift_up(wm), _shift_up(wn)) * np.sin(theta_up)
-    c = base * np.cos(theta_dn)
-    if unshifted_d:
-        d = -1j * base * np.sin(theta_dn)
-    else:
-        d = -1j * np.outer(_shift_down(wm), _shift_down(wn)) * np.sin(theta_dn)
-    return a, b, c, d
+    src = (slice(1, None),) * x.ndim
+    dst = (slice(None, -1),) * x.ndim
+    if k < 0:
+        src, dst = dst, src
+    out = np.full_like(x, fill)
+    out[dst] = x[src]
+    return out
 
 
-def coefficients(
-    m: int,
-    n: int,
+def _rotate_blocks(
+    q0: QubitAmplitudes,
+    w: np.ndarray,
+    rate: float,
+    root: np.ndarray,
     t: float,
-    p: ModeParams,
-    wa: CoherentAmplitudes,
-    wb: CoherentAmplitudes,
     unshifted_d: bool = False,
-) -> tuple[complex, complex, complex, complex]:
-    """Evolved amplitudes feeding the grid point (m, n) at time ``t``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate every two-level block ``|e, k> <-> |g, k+1>`` of a weight grid to time ``t``.
 
-    Returns ``(a, b, c, d)`` where the excited branch at (m, n) is
-    ``c_e * a + c_g * b`` and the ground branch is ``c_g * c + c_e * d``:
+    ``w`` holds the initial mode weights on an N-d grid padded by one level
+    per axis, and ``k+1`` steps every axis up by one.  The block through
+    ``|e, k>`` turns at ``rate * root[k]``, so with ``theta = rate*t*root``
+    the excited and ground branches are
 
-    - ``a = w_m w_n cos(theta)`` and ``b = -i w_{m+1} w_{n+1} sin(theta)``
-      with ``theta = eta*kappa*t*sqrt((m+1)(n+1))`` (feeding from above);
-    - ``c = w_m w_n cos(phi)`` and ``d = -i w_{m-1} w_{n-1} sin(phi)`` with
-      ``phi = eta*kappa*t*sqrt(m n)``; ``d`` vanishes for ``m = 0`` or
-      ``n = 0`` since ``|g, m, n>`` with an empty mode is a dark state.
+    - ``E[k] = c_e w[k] cos(theta[k]) - i c_g w[k+1] sin(theta[k])``;
+    - ``F[k] = c_g w[k] cos(theta[k-1]) - i c_e w[k-1] sin(theta[k-1])``,
 
-    The lowering coefficient ``d`` uses the index-shifted weights
-    ``w_{m-1} w_{n-1}``: the transition that populates ``|g, m, n>`` starts
-    from ``|e, m-1, n-1>``, and only the shifted form conserves the norm.
-    ``unshifted_d=True`` selects the norm-violating unshifted variant,
-    retained for the falsification check in the verification suite.
+    with every term below the grid reading 0 (a ground state touching an
+    empty mode is dark).  The padding level captures everything the
+    rotation feeds from the truncated input, so the evolution is exactly
+    unitary on it and the norm deficit is the static truncation tail.
 
-    Weights beyond the grid read as zero.
+    The lowering term must carry the index-shifted weights ``w[k-1]``: the
+    transition that populates ``|g, k>`` starts from ``|e, k-1>``.
+    ``unshifted_d=True`` uses ``w[k]`` instead, a norm-violating variant
+    kept only as the falsification control of the verification suite.
     """
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t!r}")
-    if not (0 <= m <= wa.n_max):
-        raise ParameterError(f"mode-a index {m} outside grid 0..{wa.n_max}")
-    if not (0 <= n <= wb.n_max):
-        raise ParameterError(f"mode-b index {n} outside grid 0..{wb.n_max}")
-    _check_consistent(p, wa, wb)
+    theta_up = rate * t * root
+    cos_up, sin_up = np.cos(theta_up), np.sin(theta_up)
+    # theta one level down; theta = 0 below the grid
+    cos_dn, sin_dn = _shift(cos_up, -1, fill=1.0), _shift(sin_up, -1)
+    w_dn = w if unshifted_d else _shift(w, -1)
+    e_branch = q0.c_e * (w * cos_up) + q0.c_g * (-1j * _shift(w, 1) * sin_up)
+    g_branch = q0.c_g * (w * cos_dn) + q0.c_e * (-1j * w_dn * sin_dn)
+    return e_branch, g_branch
 
-    theta_up = p.rabi_rate * t * math.sqrt((m + 1.0) * (n + 1.0))
-    theta_dn = p.rabi_rate * t * math.sqrt(float(m) * float(n))
-    a = complex(wa.weight(m) * wb.weight(n) * math.cos(theta_up))
-    b = -1j * wa.weight(m + 1) * wb.weight(n + 1) * math.sin(theta_up)
-    c = complex(wa.weight(m) * wb.weight(n) * math.cos(theta_dn))
-    if unshifted_d:
-        d = -1j * wa.weight(m) * wb.weight(n) * math.sin(theta_dn)
-    elif m == 0 or n == 0:
-        d = 0j
-    else:
-        d = -1j * wa.weight(m - 1) * wb.weight(n - 1) * math.sin(theta_dn)
-    return a, b, c, d
+
+def _padded(w: CoherentAmplitudes) -> np.ndarray:
+    return np.concatenate([w.weights, [0.0]])
 
 
 def evolve_state(
@@ -279,25 +211,25 @@ def evolve_state(
 ) -> GlobalState:
     """Closed-form evolution of the initial product state to time ``t``.
 
-    The excited/ground coefficient grids are assembled from the four
-    coefficient families: ``E = c_e a + c_g b`` and ``F = c_g c + c_e d``.
-    The grids have ``n_max + 2`` entries per axis (one level past the
-    input truncation), so the norm deficit of the result equals the
-    truncation tail mass of the two coherent inputs, independent of time.
+    The blocks are ``|e, m, n> <-> |g, m+1, n+1>`` at frequency
+    ``eta*kappa*sqrt((m+1)(n+1))``.  The grids have ``n_max + 2`` entries
+    per axis (one level past the input truncation), so the norm deficit of
+    the result equals the truncation tail mass of the two coherent inputs,
+    independent of time.  See :func:`_rotate_blocks` for ``unshifted_d``.
     """
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
     _check_consistent(p, wa, wb)
-    a, b, c, d = _coefficient_grids(t, p, wa, wb, unshifted_d=unshifted_d)
-    e_branch = q0.c_e * a + q0.c_g * b
-    g_branch = q0.c_g * c + q0.c_e * d
-    return GlobalState(
-        e_branch=e_branch,
-        g_branch=g_branch,
-        n_max_a=wa.n_max,
-        n_max_b=wb.n_max,
-        time=float(t),
-    )
+    m = np.arange(wa.n_max + 2, dtype=float)[:, None]
+    n = np.arange(wb.n_max + 2, dtype=float)[None, :]
+    root = np.sqrt((m + 1.0) * (n + 1.0))
+    w = np.outer(_padded(wa), _padded(wb))
+    e_branch, g_branch = _rotate_blocks(q0, w, p.rabi_rate, root, t, unshifted_d)
+    return GlobalState(e_branch=e_branch, g_branch=g_branch, time=float(t))
+
+
+def _cross(x: GlobalState, y: GlobalState) -> np.ndarray:
+    """Mode trace of ``|x><y|``: the 2x2 sums of branch products ``x_i conj(y_j)``."""
+    y_conj = (np.conj(y.e_branch), np.conj(y.g_branch))
+    return np.array([[np.sum(a * b) for b in y_conj] for a in (x.e_branch, x.g_branch)])
 
 
 def reduced_qubit_density(s: GlobalState) -> np.ndarray:
@@ -306,10 +238,7 @@ def reduced_qubit_density(s: GlobalState) -> np.ndarray:
     The ground population is reported as computed from the grids, not
     forced to ``1 - rho_ee``; their agreement is asserted by tests.
     """
-    rho_ee = np.sum(np.abs(s.e_branch) ** 2)
-    rho_gg = np.sum(np.abs(s.g_branch) ** 2)
-    rho_eg = np.sum(s.e_branch * np.conj(s.g_branch))
-    return np.array([[rho_ee, rho_eg], [np.conj(rho_eg), rho_gg]], dtype=complex)
+    return _cross(s, s)
 
 
 def stationary_evolve(
@@ -320,77 +249,34 @@ def stationary_evolve(
 ) -> GlobalState:
     """Motionless-qubit baseline: resonant Jaynes-Cummings evolution.
 
-    Only the cavity mode participates; the vibrational grid collapses to a
-    single index (axis 0 of the returned grids has length 1).  The coupling
-    is ``p.stationary_coupling`` (default ``kappa``).
+    Only the cavity mode participates: the blocks are
+    ``|e, n> <-> |g, n+1>`` at frequency ``kappa*sqrt(n+1)``.  The
+    vibrational grid collapses to a single index (axis 0 of the returned
+    grids has length 1).
     """
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
-    if abs(wb.magnitude - p.beta_mag) > _AMPLITUDE_RTOL * max(1.0, p.beta_mag):
-        raise ParameterError(
-            f"beta_mag={p.beta_mag} disagrees with the supplied weights (magnitude {wb.magnitude})"
-        )
-    g = p.stationary_coupling
-    wn = np.concatenate([wb.weights, [0.0]])
-    n = np.arange(wb.n_max + 2, dtype=float)
-    theta_up = g * t * np.sqrt(n + 1.0)
-    theta_dn = g * t * np.sqrt(n)
-    e_row = q0.c_e * wn * np.cos(theta_up) - 1j * q0.c_g * _shift_up(wn) * np.sin(theta_up)
-    g_row = q0.c_g * wn * np.cos(theta_dn) - 1j * q0.c_e * _shift_down(wn) * np.sin(theta_dn)
-    return GlobalState(
-        e_branch=e_row[None, :].copy(),
-        g_branch=g_row[None, :].copy(),
-        n_max_a=0,
-        n_max_b=wb.n_max,
-        time=float(t),
-    )
+    _check_consistent(p, None, wb)
+    root = np.sqrt(np.arange(wb.n_max + 2, dtype=float) + 1.0)
+    e_row, g_row = _rotate_blocks(q0, _padded(wb), p.kappa, root, t)
+    return GlobalState(e_branch=e_row[None, :], g_branch=g_row[None, :], time=float(t))
 
 
-def single_qubit_map(
-    p: ModeParams,
-    wa: CoherentAmplitudes,
-    wb: CoherentAmplitudes,
-    t: float,
-    mode: str = "vibrating",
-) -> ProcessMatrix:
+#: a subsystem's evolution of an initial qubit state, ``evolve(q0, t)``
+Evolve = Callable[[QubitAmplitudes, float], GlobalState]
+
+
+def single_qubit_map(evolve: Evolve, t: float) -> ProcessMatrix:
     """Process matrix of the qubit channel at time ``t``.
 
-    Evolves the two qubit basis states through the full dilation and traces
-    out the modes; the columns of the returned matrix are the vectorized
-    images of ``|e><e|, |e><g|, |g><e|, |g><g|``.  This is a genuine linear
-    map on density matrices: multiplying summed-over-grid 2x2 operators on
-    both sides instead would generate cross terms between distinct grid
-    points and fail to reproduce the reduced density.
-
-    ``mode`` selects "vibrating" (two-mode sideband dynamics) or
-    "stationary" (Jaynes-Cummings baseline; ``wa`` is ignored).
+    ``evolve(q0, t)`` is the subsystem's own evolution, e.g.
+    ``lambda q0, t: evolve_state(q0, p, wa, wb, t)`` or the same with
+    :func:`stationary_evolve`.  The two qubit basis states are evolved
+    through the full dilation and the modes traced out; the columns of the
+    returned matrix are the vectorized images of
+    ``|e><e|, |e><g|, |g><e|, |g><g|``.  This is a genuine linear map on
+    density matrices: multiplying summed-over-grid 2x2 operators on both
+    sides instead would generate cross terms between distinct grid points
+    and fail to reproduce the reduced density.
     """
-    basis_e = QubitAmplitudes(1.0, 0.0)
-    basis_g = QubitAmplitudes(0.0, 1.0)
-    if mode == "vibrating":
-        se = evolve_state(basis_e, p, wa, wb, t)
-        sg = evolve_state(basis_g, p, wa, wb, t)
-    elif mode == "stationary":
-        se = stationary_evolve(basis_e, p, wb, t)
-        sg = stationary_evolve(basis_g, p, wb, t)
-    else:
-        raise ParameterError(f"unknown map mode {mode!r}")
-
-    branches = {"e": se, "g": sg}
-    m = np.empty((4, 4), dtype=complex)
-    for col, (x, y) in enumerate((("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))):
-        sx, sy = branches[x], branches[y]
-        image = np.array(
-            [
-                [
-                    np.sum(sx.e_branch * np.conj(sy.e_branch)),
-                    np.sum(sx.e_branch * np.conj(sy.g_branch)),
-                ],
-                [
-                    np.sum(sx.g_branch * np.conj(sy.e_branch)),
-                    np.sum(sx.g_branch * np.conj(sy.g_branch)),
-                ],
-            ]
-        )
-        m[:, col] = image.reshape(4)
-    return ProcessMatrix(matrix=m, time=float(t))
+    branches = (evolve(QubitAmplitudes(1.0, 0.0), t), evolve(QubitAmplitudes(0.0, 1.0), t))
+    columns = [_cross(x, y).reshape(4) for x in branches for y in branches]
+    return ProcessMatrix(matrix=np.stack(columns, axis=1), time=float(t))

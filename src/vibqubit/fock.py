@@ -51,12 +51,6 @@ class CoherentAmplitudes:
     def __post_init__(self):
         self.weights.setflags(write=False)
 
-    def weight(self, k: int) -> float:
-        """Weight at Fock index ``k``; indices outside the grid read as 0."""
-        if 0 <= k <= self.n_max:
-            return float(self.weights[k])
-        return 0.0
-
 
 def coherent_amplitudes(magnitude: float, n_max: int) -> CoherentAmplitudes:
     """Generate coherent-state weights on a truncated Fock grid.
@@ -98,17 +92,29 @@ def choose_truncation(mean_excitation: float, tail_tol: float) -> int:
     The tail beyond each candidate cut is obtained by direct summation of
     Poisson terms (summed smallest-first to avoid cancellation).  Never
     returns less than ``MIN_LEVELS``.
+
+    Raises ``ParameterError`` for a mean past about 708.4, where the seed
+    ``exp(-mean)`` of the Poisson recurrence is no longer a normal double:
+    the tails lose precision there and, from about 745, underflow to zero,
+    which would put the cut at ``MIN_LEVELS`` and drop the whole state.
     """
     if not math.isfinite(mean_excitation) or mean_excitation < 0:
         raise ParameterError(f"mean excitation must be finite and >= 0, got {mean_excitation!r}")
     if not (0.0 < tail_tol < 1.0):
         raise ParameterError(f"tail tolerance must lie in (0, 1), got {tail_tol!r}")
+    p0 = math.exp(-mean_excitation)
+    tiny = np.finfo(float).tiny
+    if p0 < tiny:
+        raise ParameterError(
+            f"mean excitation {mean_excitation!r} exceeds the double-precision limit "
+            f"{-math.log(tiny):.1f}, past which exp(-mean) underflows"
+        )
 
     # Generous upper bound: far beyond where any double-precision tail
     # above ~1e-300 can live.
     k_hi = int(math.ceil(mean_excitation + 20.0 * math.sqrt(mean_excitation) + 60.0))
     p = np.empty(k_hi + 1)
-    p[0] = math.exp(-mean_excitation)
+    p[0] = p0
     for k in range(k_hi):
         p[k + 1] = p[k] * mean_excitation / (k + 1.0)
     # tails[n] = sum_{k > n} p[k], accumulated from the small end.

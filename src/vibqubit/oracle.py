@@ -1,11 +1,11 @@
 """Brute-force ground truth: truncated Hamiltonians evolved by matrix exponential.
 
-Everything here deliberately avoids the closed-form coefficient algebra of
+Everything here deliberately avoids the closed-form algebra of
 :mod:`vibqubit.dynamics`.  The Hamiltonian is assembled from ladder-operator
-matrix elements, states are propagated either by a generic sparse matrix
-exponential or by exact rotation of the two-level blocks the Hamiltonian
-decomposes into, and reduced densities come from explicit partial traces.
-Agreement of the two propagators, and of this module with the analytic one,
+matrix elements, states are propagated by one generic sparse matrix
+exponential (``expm_multiply``), which knows nothing of the two-level
+blocks the Hamiltonian decomposes into, and reduced densities come from
+explicit partial traces.  Agreement of this module with the analytic one
 is what the verification suite is built on.
 
 Truncation convention: callers that want boundary leakage represented
@@ -28,7 +28,6 @@ from .errors import ParameterError, ResourceError
 from .fock import CoherentAmplitudes, coherent_amplitudes
 
 _STATE_NORM_TOL = 1e-12
-_PROPAGATOR_MATCH_TOL = 1e-10
 #: upper bound on transient allocations of the two-subsystem oracle,
 #: as a multiple of one joint state vector
 _JOINT_WORKSPACE_FACTOR = 4
@@ -40,16 +39,11 @@ class TruncatedOperator:
     """Sparse Hermitian Hamiltonian on qubit (x) mode-a (x) mode-b.
 
     Basis ordering: qubit index slowest (0 = excited, 1 = ground), then
-    mode-a, then mode-b; see :func:`basis_index`.  ``rate`` is the sideband
-    coupling ``eta * kappa``; the level counts are kept so the closed-form
-    block propagator knows the pairing structure.
+    mode-a, then mode-b; see :func:`basis_index`.
     """
 
     dimension: int
     matrix: csr_matrix
-    n_max_a: int
-    n_max_b: int
-    rate: float
 
 
 def basis_index(q: int, m: int, n: int, n_max_a: int, n_max_b: int) -> int:
@@ -84,9 +78,7 @@ def build_red_sideband(p: ModeParams, n_max_a: int, n_max_b: int) -> TruncatedOp
     matrix = csr_matrix(
         (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
     )
-    return TruncatedOperator(
-        dimension=dim, matrix=matrix, n_max_a=n_max_a, n_max_b=n_max_b, rate=rate
-    )
+    return TruncatedOperator(dimension=dim, matrix=matrix)
 
 
 def build_jaynes_cummings(coupling: float, n_max: int) -> csr_matrix:
@@ -157,49 +149,19 @@ def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -
     return np.stack([_propagate_expm(matrix, state0, np.array([t]))[0] for t in times])
 
 
-def _propagate_blocks(op: TruncatedOperator, state0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact per-block rotation of the pairs ``|e, m, n> <-> |g, m+1, n+1>``.
-
-    States outside any pair (ground components touching an empty mode,
-    excited components at the truncation boundary) are stationary under the
-    truncated Hamiltonian and pass through unchanged.
-    """
-    n_a, n_b = op.n_max_a + 1, op.n_max_b + 1
-    freq = op.rate * np.sqrt(
-        np.outer(np.arange(1, n_a, dtype=float), np.arange(1, n_b, dtype=float))
-    )
-    out = np.empty((len(times), op.dimension), dtype=complex)
-    for k, t in enumerate(np.asarray(times, dtype=float)):
-        psi = state0.astype(complex).reshape(2, n_a, n_b).copy()
-        theta = freq * t
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        e_blk = psi[0, : n_a - 1, : n_b - 1].copy()
-        g_blk = psi[1, 1:, 1:].copy()
-        psi[0, : n_a - 1, : n_b - 1] = cos_t * e_blk - 1j * sin_t * g_blk
-        psi[1, 1:, 1:] = -1j * sin_t * e_blk + cos_t * g_blk
-        out[k] = psi.reshape(-1)
-    return out
-
-
-def evolve_exact(
-    state0: np.ndarray, h: TruncatedOperator, t: float, method: str = "expm"
-) -> np.ndarray:
-    """Propagate a normalized state vector to time ``t``.
-
-    ``method`` selects the generic sparse matrix exponential ("expm"), the
-    closed-form block rotation ("block"), or "both", which runs the two and
-    raises if they disagree beyond 1e-10 (returning the expm result).
-    """
-    return evolve_exact_series(state0, h, np.array([float(t)]), method=method)[0]
+def evolve_exact(state0: np.ndarray, h: TruncatedOperator, t: float) -> np.ndarray:
+    """Propagate a normalized state vector to time ``t``."""
+    return evolve_exact_series(state0, h, np.array([float(t)]))[0]
 
 
 def evolve_exact_series(
-    state0: np.ndarray, h: TruncatedOperator, times: np.ndarray, method: str = "expm"
+    state0: np.ndarray, h: TruncatedOperator, times: np.ndarray
 ) -> np.ndarray:
     """Propagate to every time in ``times``; returns shape (len(times), dim).
 
     Uniform grids are handed to the batched matrix-exponential stepper in
     one call, which reuses the operator-norm bookkeeping across steps.
+    Only ``h.dimension`` and ``h.matrix`` are read.
     """
     state0 = np.asarray(state0, dtype=complex)
     if state0.shape != (h.dimension,):
@@ -211,21 +173,7 @@ def evolve_exact_series(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0):
         raise ParameterError("times must be non-empty and >= 0")
-
-    if method == "expm":
-        return _propagate_expm(h.matrix, state0, times)
-    if method == "block":
-        return _propagate_blocks(h, state0, times)
-    if method == "both":
-        via_expm = _propagate_expm(h.matrix, state0, times)
-        via_blocks = _propagate_blocks(h, state0, times)
-        worst = float(np.max(np.abs(via_expm - via_blocks)))
-        if worst > _PROPAGATOR_MATCH_TOL:
-            raise RuntimeError(
-                f"propagators disagree by {worst:.3e} (tolerance {_PROPAGATOR_MATCH_TOL})"
-            )
-        return via_expm
-    raise ParameterError(f"unknown propagator method {method!r}")
+    return _propagate_expm(h.matrix, state0, times)
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -246,7 +194,6 @@ def two_subsystem_oracle(
     p: ModeParams,
     n_max: int,
     t: float,
-    method: str = "expm",
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> TwoQubitDensity:
     """Evolve two identical subsystems jointly and trace out all four modes.
@@ -281,7 +228,7 @@ def two_subsystem_oracle(
     phi = {}
     for label, q0 in (("e", QubitAmplitudes(1.0, 0.0)), ("g", QubitAmplitudes(0.0, 1.0))):
         psi0 = coherent_product_state(q0, wa, wb, n_levels_max, n_levels_max)
-        phi[label] = evolve_exact(psi0, h, t, method=method)
+        phi[label] = evolve_exact(psi0, h, t)
 
     if spec.kind == "phi":
         joint = spec.mu * np.kron(phi["e"], phi["g"]) + spec.upsilon * np.kron(phi["g"], phi["e"])

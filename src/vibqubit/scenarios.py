@@ -2,17 +2,19 @@
 
 A scenario names one curve family (single-qubit coherence, mode-mode
 correlation, two-qubit concurrence or coherence, each with a stationary
-variant where meaningful) plus the physical parameters.  Rows are evaluated
-one time point at a time, optionally across a process pool; because every
-point is a pure function of the scenario, the assembled table is identical
-for any worker count, and the CSV writer pins the formatting so reruns are
-byte-identical.
+variant where meaningful) plus the physical parameters.  The truncation,
+the coherent weights and the evolution are fixed once per scenario and the
+rows evaluated one time point at a time, optionally over contiguous slices
+of the time grid in a process pool; every point is a pure function of the
+scenario, so the table is identical for any worker count, and the CSV
+writer pins the formatting so reruns are byte-identical.
 """
 from __future__ import annotations
 
 import io
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +22,8 @@ import numpy as np
 
 from .composite import BellSpec, bell_state, concurrence, evolve_two_qubit, two_qubit_coherence
 from .dynamics import (
+    Evolve,
+    GlobalState,
     ModeParams,
     QubitAmplitudes,
     evolve_state,
@@ -31,50 +35,79 @@ from .errors import ParameterError
 from .fock import choose_truncation, coherent_amplitudes
 from .observables import l1_coherence, mode_moments
 
-#: scenario modes with a vibrating qubit (two-mode sideband dynamics)
-VIBRATING_MODES = (
-    "single-coherence",
-    "single-coherence-excited",
-    "mode-correlation",
-    "concurrence",
-    "tqc",
-)
-#: stationary counterparts; mode-correlation has none (no vibrational mode exists)
-STATIONARY_MODES = (
-    "stationary-single-coherence",
-    "stationary-single-coherence-excited",
-    "stationary-concurrence",
-    "stationary-tqc",
-)
-ALL_MODES = VIBRATING_MODES + STATIONARY_MODES
+# The row functions name the kernels and observables they call, so those
+# resolve through this module's globals on every call rather than being
+# captured when the table is built: a wrapper that rebinds them here (the
+# per-layer tracer in perfbench/spans.py) sees every call.
 
-_COLUMNS = {
-    "single-coherence": ("t", "eta_kappa_t", "zeta"),
-    "single-coherence-excited": ("t", "eta_kappa_t", "zeta"),
-    "mode-correlation": ("t", "eta_kappa_t", "n_a", "n_b", "joint", "cross_corr", "g2"),
-    "concurrence": ("t", "eta_kappa_t", "value"),
-    "tqc": ("t", "eta_kappa_t", "value"),
-    "stationary-single-coherence": ("t", "kappa_t", "zeta"),
-    "stationary-single-coherence-excited": ("t", "kappa_t", "zeta"),
-    "stationary-concurrence": ("t", "kappa_t", "value"),
-    "stationary-tqc": ("t", "kappa_t", "value"),
+
+def _coherence_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
+    return (l1_coherence(reduced_qubit_density(evolve(QubitAmplitudes(s.c_e, s.c_g), t))),)
+
+
+def _moments_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
+    sample = mode_moments(evolve(QubitAmplitudes(s.c_e, s.c_g), t))
+    g2 = float("nan") if sample.g2 is None else sample.g2
+    return (sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, g2)
+
+
+def _two_qubit_density(s: Scenario, evolve: Evolve, t: float):
+    m = single_qubit_map(evolve, t)
+    return evolve_two_qubit(bell_state(BellSpec(s.bell_kind, s.mu, s.upsilon)), m, m)
+
+
+def _concurrence_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
+    return (concurrence(_two_qubit_density(s, evolve, t)),)
+
+
+def _tqc_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
+    return (two_qubit_coherence(_two_qubit_density(s, evolve, t)),)
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One base mode: the value columns after (t, axis), the row observable,
+    the plotted column with its label and fixed y-range (None autoscales),
+    and whether a stationary variant exists."""
+
+    columns: tuple[str, ...]
+    row: Callable[[Scenario, Evolve, float], tuple[float, ...]]
+    y_column: str
+    y_label: str
+    y_range: tuple[int, int] | None
+    has_stationary: bool = True
+
+
+_COHERENCE = _Mode(("zeta",), _coherence_row, "zeta", "coherence", (0, 1))
+_MODES = {
+    "single-coherence": _COHERENCE,
+    "single-coherence-excited": _COHERENCE,
+    # no stationary variant: without the vibrational mode there is nothing to correlate
+    "mode-correlation": _Mode(
+        ("n_a", "n_b", "joint", "cross_corr", "g2"), _moments_row,
+        "cross_corr", "cross correlation", None, has_stationary=False,
+    ),
+    "concurrence": _Mode(("value",), _concurrence_row, "value", "concurrence", (0, 1)),
+    # two-qubit coherence of a 4x4 density can exceed 1, so autoscale
+    "tqc": _Mode(("value",), _tqc_row, "value", "two-qubit coherence", None),
 }
 
-_METADATA_KEYS = (
-    "mode",
-    "eta",
-    "kappa",
-    "alpha_sq",
-    "beta_sq",
-    "c_e",
-    "c_g",
-    "bell",
-    "mu",
-    "upsilon",
-    "t_max",
-    "n_steps",
-    "tail_tol",
-)
+#: scenario modes with a vibrating qubit (two-mode sideband dynamics)
+VIBRATING_MODES = tuple(_MODES)
+#: stationary counterparts of the base modes that have one
+STATIONARY_MODES = tuple(f"stationary-{m}" for m, spec in _MODES.items() if spec.has_stationary)
+ALL_MODES = VIBRATING_MODES + STATIONARY_MODES
+
+
+def _split(mode: str) -> tuple[_Mode, bool]:
+    """Table entry of a mode, and whether the mode is its stationary variant."""
+    base = mode.removeprefix("stationary-")
+    return _MODES[base], base != mode
+
+
+def _columns(mode: str) -> tuple[str, ...]:
+    spec, stationary = _split(mode)
+    return ("t", "kappa_t" if stationary else "eta_kappa_t") + spec.columns
 
 
 @dataclass(frozen=True)
@@ -99,8 +132,6 @@ class Scenario:
     t_max: float = 2500.0
     n_steps: int = 501
     tail_tol: float = 1e-12
-    out: str | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.mode not in ALL_MODES:
@@ -109,16 +140,14 @@ class Scenario:
             )
         if self.n_steps < 2:
             raise ParameterError(f"n_steps must be >= 2, got {self.n_steps}")
-        if not (self.t_max > 0):
-            raise ParameterError(f"t_max must be > 0, got {self.t_max!r}")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise ParameterError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if not (0.0 <= self.mu <= 1.0):
             raise ParameterError(f"mu must lie in [0, 1], got {self.mu!r}")
         if self.bell_kind not in ("phi", "psi"):
             raise ParameterError(f"bell kind must be 'phi' or 'psi', got {self.bell_kind!r}")
         if self.alpha_sq < 0 or self.beta_sq < 0:
             raise ParameterError("alpha_sq and beta_sq must be >= 0")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
         # fail fast on anything ModeParams or QubitAmplitudes would reject
         self.mode_params()
         if not self.mode.endswith(("concurrence", "tqc")):
@@ -127,10 +156,6 @@ class Scenario:
     @property
     def upsilon(self) -> float:
         return math.sqrt(max(0.0, 1.0 - self.mu * self.mu))
-
-    @property
-    def stationary(self) -> bool:
-        return self.mode.startswith("stationary-")
 
     def mode_params(self) -> ModeParams:
         return ModeParams(
@@ -145,7 +170,7 @@ class Scenario:
         return np.arange(self.n_steps) * (self.t_max / (self.n_steps - 1))
 
     def columns(self) -> tuple[str, ...]:
-        return _COLUMNS[self.mode]
+        return _columns(self.mode)
 
 
 def stationary_variant(mode: str) -> str:
@@ -160,59 +185,41 @@ def stationary_variant(mode: str) -> str:
     return name
 
 
-def _evaluate_point(s: Scenario, t: float) -> tuple[float, ...]:
-    """One row of the table; pure in (s, t) so scheduling cannot matter."""
+def _rows(s: Scenario, times: np.ndarray) -> list[tuple[float, ...]]:
+    """Rows of the table at ``times``; the evolution is set up once for all of them."""
     p = s.mode_params()
-    axis = (s.eta * s.kappa if not s.stationary else s.kappa) * t
     wb = coherent_amplitudes(p.beta_mag, choose_truncation(s.beta_sq, s.tail_tol))
-    if not s.stationary:
+    spec, stationary = _split(s.mode)
+    if stationary:
+        rate = s.kappa
+
+        def evolve(q0: QubitAmplitudes, t: float) -> GlobalState:
+            return stationary_evolve(q0, p, wb, t)
+    else:
+        rate = s.eta * s.kappa
         wa = coherent_amplitudes(p.alpha_mag, choose_truncation(s.alpha_sq, s.tail_tol))
 
-    if s.mode in ("single-coherence", "single-coherence-excited"):
-        state = evolve_state(QubitAmplitudes(s.c_e, s.c_g), p, wa, wb, t)
-        return (t, axis, l1_coherence(reduced_qubit_density(state)))
-    if s.mode in ("stationary-single-coherence", "stationary-single-coherence-excited"):
-        state = stationary_evolve(QubitAmplitudes(s.c_e, s.c_g), p, wb, t)
-        return (t, axis, l1_coherence(reduced_qubit_density(state)))
-    if s.mode == "mode-correlation":
-        state = evolve_state(QubitAmplitudes(s.c_e, s.c_g), p, wa, wb, t)
-        sample = mode_moments(state)
-        g2 = float("nan") if sample.g2 is None else sample.g2
-        return (t, axis, sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, g2)
+        def evolve(q0: QubitAmplitudes, t: float) -> GlobalState:
+            return evolve_state(q0, p, wa, wb, t)
 
-    # two-qubit modes
-    kind = "stationary" if s.stationary else "vibrating"
-    if s.stationary:
-        m = single_qubit_map(p, wb, wb, t, mode=kind)
-    else:
-        m = single_qubit_map(p, wa, wb, t, mode=kind)
-    rho0 = bell_state(BellSpec(s.bell_kind, s.mu, s.upsilon))
-    rho = evolve_two_qubit(rho0, m, m)
-    value = concurrence(rho) if s.mode.endswith("concurrence") else two_qubit_coherence(rho)
-    return (t, axis, value)
+    return [(t, rate * t, *spec.row(s, evolve, t)) for t in map(float, times)]
 
 
-def _evaluate_indexed(args: tuple[Scenario, int, float]) -> tuple[int, tuple[float, ...]]:
-    s, i, t = args
-    return i, _evaluate_point(s, t)
-
-
-def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
+def run_scenario(s: Scenario, workers: int = 1) -> list[tuple[float, ...]]:
     """Evaluate every row of the scenario, in row order.
 
-    With ``workers > 1`` the points are spread over a process pool; rows are
-    reassembled strictly by index, so the result never depends on worker
-    count or completion order.
+    With ``workers > 1`` the time grid is cut into contiguous slices, one
+    per worker process, and the slices are joined in order, so the result
+    never depends on worker count or completion order.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     times = s.times()
-    if s.workers == 1:
-        return [_evaluate_point(s, float(t)) for t in times]
-    jobs = [(s, i, float(t)) for i, t in enumerate(times)]
-    rows: list[tuple[float, ...] | None] = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=s.workers) as pool:
-        for i, row in pool.map(_evaluate_indexed, jobs, chunksize=max(1, len(jobs) // (4 * s.workers))):
-            rows[i] = row
-    return rows  # type: ignore[return-value]
+    if workers == 1:
+        return _rows(s, times)
+    slices = np.array_split(times, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for part in pool.map(_rows, [s] * len(slices), slices) for row in part]
 
 
 def _format_value(x: float) -> str:
@@ -235,15 +242,16 @@ def _metadata_lines(s: Scenario) -> list[str]:
         "n_steps": str(s.n_steps),
         "tail_tol": _format_value(s.tail_tol),
     }
-    return [f"# {key} = {values[key]}" for key in _METADATA_KEYS]
+    return [f"# {key} = {value}" for key, value in values.items()]
 
 
 def render_csv(s: Scenario, rows: list[tuple[float, ...]]) -> str:
     """Render metadata, header, and rows; 9 significant digits throughout.
 
-    Output path and worker count are deliberately left out of the metadata:
-    the same physics must serialize to the same bytes wherever and however
-    it was computed.
+    Nothing about where or how the rows were computed enters the bytes:
+    the output path and worker count are not :class:`Scenario` fields but
+    arguments of the CLI and of :func:`run_scenario`, so the same physics
+    serializes to the same bytes wherever and however it was computed.
     """
     buf = io.StringIO()
     for line in _metadata_lines(s):
@@ -290,35 +298,27 @@ def emit_plot_script(csv_path: str, mode: str | None = None) -> str:
         mode = metadata.get("mode")
         if mode is None:
             raise ParameterError(f"CSV {csv_path} has no mode metadata; pass the mode explicitly")
-    if mode not in _COLUMNS:
+    if mode not in ALL_MODES:
         raise ParameterError(f"unknown scenario mode {mode!r}")
-    expected = list(_COLUMNS[mode])
+    expected = list(_columns(mode))
     if columns != expected:
         raise ParameterError(
             f"CSV {csv_path} columns {columns} do not match mode {mode!r} (expected {expected})"
         )
 
-    axis = expected[1]
-    axis_label = "eta*kappa*t" if axis == "eta_kappa_t" else "kappa*t"
-    if mode == "mode-correlation":
-        y_col, y_label, y_range = 6, "cross correlation", None
-    elif "coherence" in mode:
-        y_col, y_label, y_range = 3, "coherence", (0, 1)
-    elif "concurrence" in mode:
-        y_col, y_label, y_range = 3, "concurrence", (0, 1)
-    else:
-        # two-qubit coherence of a 4x4 density can exceed 1, so autoscale
-        y_col, y_label, y_range = 3, "two-qubit coherence", None
+    axis_label = "eta*kappa*t" if expected[1] == "eta_kappa_t" else "kappa*t"
+    spec, _ = _split(mode)
+    y_col = expected.index(spec.y_column) + 1
 
     lines = [
         "# gnuplot script generated from a scenario CSV",
         "set datafile separator ','",
         f"set xlabel '{axis_label}'",
-        f"set ylabel '{y_label}'",
+        f"set ylabel '{spec.y_label}'",
         "set key off",
         "set grid",
     ]
-    if y_range is not None:
-        lines.append(f"set yrange [{y_range[0]}:{y_range[1]}]")
+    if spec.y_range is not None:
+        lines.append(f"set yrange [{spec.y_range[0]}:{spec.y_range[1]}]")
     lines.append(f"plot '{csv_path}' using 2:{y_col} with lines")
     return "\n".join(lines) + "\n"

@@ -186,7 +186,7 @@ def check_map_consistency(profile: ToleranceProfile, audit: DensityAuditor) -> C
         states.append(QubitAmplitudes(complex(v[0]), complex(v[1])))
     worst = 0.0
     for t in np.linspace(0.0, 2500.0, 16):
-        m = single_qubit_map(p, w, w, float(t))
+        m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), float(t))
         for q0 in states:
             direct = reduced_qubit_density(evolve_state(q0, p, w, w, float(t)))
             rho0 = np.array(
@@ -224,7 +224,7 @@ def check_two_qubit_map(profile: ToleranceProfile, audit: DensityAuditor) -> Che
             p = ModeParams(alpha_mag=math.sqrt(intensity), beta_mag=math.sqrt(intensity))
             w = coherent_amplitudes(p.alpha_mag, n_max)
             for t in np.linspace(0.0, 1000.0, 16):
-                m = single_qubit_map(p, w, w, float(t))
+                m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), float(t))
                 via_map = evolve_two_qubit(rho0, m, m)
                 via_oracle = two_subsystem_oracle(spec, p, n_max, float(t))
                 audit.record(via_map)
@@ -322,7 +322,7 @@ def _two_qubit_sweeps(profile: ToleranceProfile, audit: DensityAuditor) -> tuple
         conc = np.empty(times.size)
         tqc = np.empty(times.size)
         for k, t in enumerate(times):
-            m = single_qubit_map(p, wa, wb, float(t))
+            m = single_qubit_map(lambda q0, t: evolve_state(q0, p, wa, wb, t), float(t))
             rho = evolve_two_qubit(rho0, m, m)
             if k % 100 == 0:
                 audit.record(rho)
@@ -410,7 +410,7 @@ def check_revival(profile: ToleranceProfile, audit: DensityAuditor) -> CheckResu
         signal[k] = abs(rho[0, 0].real - 0.5)
     collapse = upper_envelope(times, signal).first_crossing_below(0.05)
     peak_time, peak_value = revival_peak(times, signal, (collapse, float(times[-1])))
-    expected = 2.0 * math.pi * 5.0 / p.stationary_coupling
+    expected = 2.0 * math.pi * 5.0 / p.kappa
     rel_dev = abs(peak_time - expected) / expected
     return CheckResult(
         name="stationary-revival-timing",

@@ -1,4 +1,7 @@
 """Command-line interface: flag/config resolution, exit codes, outputs."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,15 @@ def test_excited_mode_defaults_to_excited_state(tmp_path):
     assert float(rows[0].split(",")[2]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_unrepresentable_inputs_exit_two(tmp_path):
+    out = str(tmp_path / "x.csv")
+    assert run_cli("run", "--mode", "single-coherence", "--t-max", "inf",
+                   "--steps", "3", "--out", out) == 2
+    # exp(-alpha_sq) underflows double precision
+    assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "800",
+                   "--steps", "3", "--t-max", "10", "--out", out) == 2
+
+
 def test_ce_requires_cg(tmp_path):
     code = run_cli(
         "run", "--mode", "single-coherence", "--ce", "1,0",
@@ -119,6 +131,17 @@ def test_flags_override_config(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--beta-sq", "4") == 0
     metadata, _ = read_csv_header(str(out))
     assert float(metadata["beta_sq"]) == 4.0
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = tmp_path / "example.ini"
+    cfg.write_text(blocks[0])
+    out = tmp_path / "out.csv"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    assert out.exists()
 
 
 def test_config_unknown_key(tmp_path, capsys):

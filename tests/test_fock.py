@@ -35,13 +35,13 @@ def test_recurrence_matches_factorial_formula():
     for k in range(31):
         direct = math.exp(-0.5 * mag * mag) * mag**k / math.sqrt(math.factorial(k))
         if direct > 1e-30:
-            assert w.weight(k) == pytest.approx(direct, rel=1e-13)
+            assert w.weights[k] == pytest.approx(direct, rel=1e-13)
 
 
 def test_known_weight_value():
     # w_2 at amplitude sqrt(2) is exp(-1) * 2 / sqrt(2) = sqrt(2)/e
     w = coherent_amplitudes(math.sqrt(2.0), 6)
-    assert w.weight(2) == pytest.approx(math.sqrt(2.0) / math.e, rel=1e-14)
+    assert w.weights[2] == pytest.approx(math.sqrt(2.0) / math.e, rel=1e-14)
 
 
 def test_norm_close_to_one_on_wide_grid():
@@ -54,12 +54,6 @@ def test_weights_decrease_beyond_mean():
     k0 = int(math.ceil(2.0**2)) + 1
     diffs = np.diff(w.weights[k0:])
     assert np.all(diffs <= 0)
-
-
-def test_weight_outside_grid_reads_zero():
-    w = coherent_amplitudes(1.0, 5)
-    assert w.weight(6) == 0.0
-    assert w.weight(-1) == 0.0
 
 
 def test_tail_mass_matches_poisson_tail():
@@ -75,7 +69,8 @@ def test_frozen_truncation_table():
 
 
 def test_truncation_is_smallest_sufficient_cut():
-    for mean in (0.5, 1.0, 3.0, 10.0):
+    # 708 sits just below the double-precision limit of exp(-mean)
+    for mean in (0.5, 1.0, 3.0, 10.0, 708.0):
         n = choose_truncation(mean, 1e-12)
         assert poisson_tail(mean, n) < 1e-12
         if n > MIN_LEVELS:
@@ -100,6 +95,10 @@ def test_parameter_errors():
         choose_truncation(1.0, 0.0)
     with pytest.raises(ParameterError):
         choose_truncation(1.0, 1.0)
+    # exp(-mean) is subnormal from 708.4 and zero from 745
+    for mean in (709.0, 800.0):
+        with pytest.raises(ParameterError):
+            choose_truncation(mean, 1e-12)
 
 
 @settings(deadline=None, max_examples=60)

@@ -130,18 +130,6 @@ def test_energy_is_conserved():
         assert np.vdot(psi, h.matrix @ psi).real == pytest.approx(e0, abs=1e-10)
 
 
-def test_block_propagator_matches_expm():
-    p = ModeParams(alpha_mag=1.0, beta_mag=math.sqrt(2.0))
-    wa = coherent_amplitudes(1.0, 14)
-    wb = coherent_amplitudes(math.sqrt(2.0), 18)
-    h = build_red_sideband(p, 15, 19)
-    psi0 = coherent_product_state(BALANCED, wa, wb, 15, 19)
-    times = np.linspace(0.0, 1500.0, 7)
-    # method="both" raises if the two routes disagree beyond 1e-10
-    series = evolve_exact_series(psi0, h, times, method="both")
-    assert series.shape == (7, h.dimension)
-
-
 def test_nonuniform_time_grid():
     p = ModeParams()
     w = coherent_amplitudes(1.0, 14)
@@ -165,8 +153,6 @@ def test_propagator_input_validation():
         evolve_exact(psi0[:-1], h, 1.0)  # wrong dimension
     with pytest.raises(ParameterError):
         evolve_exact_series(psi0, h, np.array([-1.0]))
-    with pytest.raises(ParameterError):
-        evolve_exact_series(psi0, h, np.array([1.0]), method="magic")
 
 
 def test_unnormalized_product_state_rejected_by_contract():

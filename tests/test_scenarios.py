@@ -78,7 +78,7 @@ def test_g2_column_is_nan_when_undefined():
 def test_worker_counts_agree():
     base = small("concurrence", n_steps=9)
     rows1 = run_scenario(base)
-    rows3 = run_scenario(Scenario(**{**base.__dict__, "workers": 3}))
+    rows3 = run_scenario(base, workers=3)
     assert rows1 == rows3
 
 
@@ -90,13 +90,15 @@ def test_scenario_validation():
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", t_max=0.0)
     with pytest.raises(ParameterError):
+        Scenario(mode="single-coherence", t_max=math.inf)
+    with pytest.raises(ParameterError):
         Scenario(mode="tqc", mu=1.5)
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", bell_kind="chi")
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", alpha_sq=-1.0)
     with pytest.raises(ParameterError):
-        Scenario(mode="tqc", workers=0)
+        run_scenario(small("tqc"), workers=0)
     with pytest.raises(ParameterError):
         Scenario(mode="single-coherence", c_e=1.0, c_g=1.0)
 
@@ -124,10 +126,8 @@ def test_csv_reruns_are_byte_identical(tmp_path):
 
 
 def test_csv_identical_across_worker_counts(tmp_path):
-    rows = {}
-    for workers in (1, 2, 4):
-        s = small("mode-correlation", workers=workers)
-        rows[workers] = render_csv(s, run_scenario(s))
+    s = small("mode-correlation")
+    rows = {workers: render_csv(s, run_scenario(s, workers)) for workers in (1, 2, 4)}
     assert rows[1] == rows[2] == rows[4]
 
 
