@@ -51,14 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steps", type=int, default=501, help="rows per curve for vibrating scenarios"
     )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="parallel workers per scenario"
-    )
     return parser
 
 
-def run_one(scenario: Scenario, csv_path: pathlib.Path, workers: int) -> pathlib.Path:
-    rows = run_scenario(scenario, workers)
+def run_one(scenario: Scenario, csv_path: pathlib.Path) -> pathlib.Path:
+    rows = run_scenario(scenario)
     write_csv(scenario, rows, str(csv_path))
     gp_path = csv_path.parent / (csv_path.name + ".gp")
     # the plot script references the CSV by the same path used to write it,
@@ -83,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 n_steps=args.steps,
             )
             csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
-            written.append(run_one(scenario, csv_path, args.workers))
+            written.append(run_one(scenario, csv_path))
 
     for mode in STATIONARY_MODES:
         for beta_sq in args.beta_sq:
@@ -95,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
                 n_steps=STATIONARY_STEPS,
             )
             csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
-            written.append(run_one(scenario, csv_path, args.workers))
+            written.append(run_one(scenario, csv_path))
 
     for path in written:
         print(f"wrote {path} and {path}.gp")

@@ -19,10 +19,14 @@ from .dynamics import (
     ModeParams,
     ProcessMatrix,
     QubitAmplitudes,
+    Subsystem,
+    evolve,
     evolve_state,
     reduced_qubit_density,
     single_qubit_map,
     stationary_evolve,
+    stationary_subsystem,
+    vibrating_subsystem,
 )
 from .errors import ParameterError, ResourceError
 from .fock import CoherentAmplitudes, choose_truncation, coherent_amplitudes
@@ -53,6 +57,7 @@ __all__ = [
     "ResourceError",
     "STATIONARY_MODES",
     "Scenario",
+    "Subsystem",
     "TwoQubitDensity",
     "VIBRATING_MODES",
     "bell_state",
@@ -60,6 +65,7 @@ __all__ = [
     "coherent_amplitudes",
     "concurrence",
     "emit_plot_script",
+    "evolve",
     "evolve_state",
     "evolve_two_qubit",
     "l1_coherence",
@@ -70,7 +76,9 @@ __all__ = [
     "run_scenario",
     "single_qubit_map",
     "stationary_evolve",
+    "stationary_subsystem",
     "stationary_variant",
     "two_qubit_coherence",
     "upper_envelope",
+    "vibrating_subsystem",
 ]

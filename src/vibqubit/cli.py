@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 
 from .errors import ParameterError, ResourceError
@@ -20,8 +19,6 @@ from .scenarios import (
     write_csv,
 )
 from .verify import ToleranceProfile, run_all
-
-WORKERS_ENV = "VIBQUBIT_WORKERS"
 
 #: keys accepted in a config-file section, with their parsers
 _CONFIG_PARSERS = {
@@ -37,7 +34,6 @@ _CONFIG_PARSERS = {
     "steps": int,
     "tail_tol": float,
     "out": str,
-    "workers": int,
     "stationary": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
 }
 
@@ -78,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, help="number of time samples")
     run.add_argument("--tail-tol", type=float, help="coherent-state truncation tail tolerance")
     run.add_argument("--out", metavar="PATH", help="output CSV path (default <mode>.csv)")
-    run.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
     run.add_argument(
         "--stationary",
         action="store_true",
@@ -145,21 +140,8 @@ def _load_config(path: str, mode_flag: str | None) -> tuple[str | None, dict]:
     return mode, settings
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"environment variable {WORKERS_ENV}={raw!r} is not an integer") from None
-    if value < 1:
-        raise ParameterError(f"environment variable {WORKERS_ENV} must be >= 1, got {value}")
-    return value
-
-
-def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str, int]:
-    """The scenario, the output path and the worker count of a `run` call."""
+def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str]:
+    """The scenario and the output path of a `run` call."""
     settings: dict = {}
     mode = args.mode
     if args.config:
@@ -180,7 +162,6 @@ def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str, int]:
         ("steps", args.steps),
         ("tail_tol", args.tail_tol),
         ("out", args.out),
-        ("workers", args.workers),
     ):
         if flag is not None:
             settings[key] = flag
@@ -206,7 +187,6 @@ def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str, int]:
         ce, cg = _parse_complex_pair(ce), _parse_complex_pair(cg)
 
     out = settings.pop("out", None) or f"{mode}.csv"
-    workers = settings.pop("workers", None) or _default_workers()
     scenario = Scenario(
         mode=mode,
         c_e=ce,
@@ -221,12 +201,12 @@ def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str, int]:
         n_steps=settings.pop("steps", 501),
         tail_tol=settings.pop("tail_tol", 1e-12),
     )
-    return scenario, out, workers
+    return scenario, out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario, out, workers = _build_scenario(args)
-    rows = run_scenario(scenario, workers)
+    scenario, out = _build_scenario(args)
+    rows = run_scenario(scenario)
     write_csv(scenario, rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -46,16 +46,20 @@ class BellSpec:
         if self.kind not in ("phi", "psi"):
             raise ParameterError(f"Bell kind must be 'phi' or 'psi', got {self.kind!r}")
         norm_sq = abs(self.mu) ** 2 + abs(self.upsilon) ** 2
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise ParameterError(f"Bell amplitudes are not normalized: |c|^2 = {norm_sq!r}")
 
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """4x4 density matrix in the standard two-qubit basis, with its time."""
+    """4x4 density matrix in the standard two-qubit basis, with its time.
+
+    ``matrix`` is (T, 4, 4) when ``time`` is an array of T times.
+    """
 
     matrix: np.ndarray
-    time: float
+    time: float | np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -78,53 +82,62 @@ def evolve_two_qubit(
     Equivalent to mapping each basis operator ``|x1><y1| (x) |x2><y2|`` to
     the tensor product of its single-qubit images, which is exactly the
     expansion of the evolved Bell-state densities into the sixteen
-    single-qubit transition terms.
+    single-qubit transition terms.  Maps stacked over T times give a
+    (T, 4, 4) density.
     """
-    if abs(m1.time - m2.time) > _TIME_MATCH_TOL * max(1.0, abs(m1.time)):
+    t1, t2 = np.asarray(m1.time), np.asarray(m2.time)
+    if t1.shape != t2.shape or np.any(
+        np.abs(t1 - t2) > _TIME_MATCH_TOL * np.maximum(1.0, np.abs(t1))
+    ):
         raise ParameterError(
             f"process matrices are at different times: {m1.time} vs {m2.time}"
         )
+    lead = m1.matrix.shape[:-2]
     rho4 = rho0.matrix.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
-    m1_4 = m1.matrix.reshape(2, 2, 2, 2)  # axes (i1', j1', i1, j1)
-    m2_4 = m2.matrix.reshape(2, 2, 2, 2)
-    out = np.einsum("aceg,bdfh,efgh->abcd", m1_4, m2_4, rho4)
-    return TwoQubitDensity(matrix=out.reshape(4, 4), time=m1.time)
+    m1_4 = m1.matrix.reshape(lead + (2, 2, 2, 2))  # axes (i1', j1', i1, j1)
+    m2_4 = m2.matrix.reshape(lead + (2, 2, 2, 2))
+    out = np.einsum("...aceg,...bdfh,efgh->...abcd", m1_4, m2_4, rho4)
+    return TwoQubitDensity(matrix=out.reshape(lead + (4, 4)), time=m1.time)
 
 
 def _as_density(rho, *, check: bool = True) -> np.ndarray:
     mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    if mat.shape != (4, 4):
-        raise ParameterError(f"expected a 4x4 density matrix, got shape {mat.shape}")
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 density matrix or a stack of them, got shape {mat.shape}")
     if check:
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
+        # written so that NaN entries fail too
+        if not np.all(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)) <= _HERMITIAN_TOL):
             raise ParameterError("density matrix is not Hermitian within 1e-9")
-        if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+        if not np.all((np.abs(trace.real - 1.0) <= _TRACE_TOL) & (np.abs(trace.imag) <= _TRACE_TOL)):
             raise ParameterError("density matrix trace differs from 1 beyond 1e-9")
     return mat
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Entanglement of a two-qubit density matrix, in [0, 1].
 
     Computed from the eigenvalues of ``rho @ rho_tilde`` where
     ``rho_tilde = (sy (x) sy) conj(rho) (sy (x) sy)``: with the eigenvalues
     lambda_i sorted in decreasing order, the result is
-    ``max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))``.
+    ``max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))`` (Wootters, PRL 80,
+    2245, 1998).
 
     ``rho @ rho_tilde`` is similar to a positive semidefinite matrix, so
     its eigenvalues are real and non-negative up to rounding; tiny negative
     real parts are clamped to zero before the square roots.  Accepts a bare
-    4x4 array or a :class:`TwoQubitDensity`.
+    4x4 array or a :class:`TwoQubitDensity`, or a (T, 4, 4) stack of
+    densities, for which it returns the T values.
     """
     mat = _as_density(rho)
     rho_tilde = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
     lam = np.linalg.eigvals(mat @ rho_tilde).real
-    lam = np.sort(np.maximum(lam, 0.0))[::-1]
-    roots = np.sqrt(lam)
-    value = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(max(value, 0.0), 1.0))
+    roots = np.sqrt(np.sort(np.maximum(lam, 0.0), axis=-1))  # increasing
+    value = np.clip(roots[..., 3] - roots[..., 2] - roots[..., 1] - roots[..., 0], 0.0, 1.0)
+    return value if mat.ndim > 2 else float(value)
 
 
-def two_qubit_coherence(rho) -> float:
-    """l1 coherence of the 4x4 two-qubit density matrix (sum of |off-diag|)."""
+def two_qubit_coherence(rho) -> float | np.ndarray:
+    """l1 coherence of the 4x4 two-qubit density matrix (sum of |off-diag|),
+    one value per matrix of a (T, 4, 4) stack."""
     return l1_coherence(_as_density(rho, check=False))

@@ -171,8 +171,8 @@ def evolve_exact_series(
     if abs(np.linalg.norm(state0) - 1.0) > _STATE_NORM_TOL:
         raise ParameterError("initial state is not normalized within 1e-12")
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0):
-        raise ParameterError("times must be non-empty and >= 0")
+    if times.size == 0 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ParameterError("times must be non-empty, finite and >= 0")
     return _propagate_expm(h.matrix, state0, times)
 
 

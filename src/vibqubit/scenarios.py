@@ -3,33 +3,34 @@
 A scenario names one curve family (single-qubit coherence, mode-mode
 correlation, two-qubit concurrence or coherence, each with a stationary
 variant where meaningful) plus the physical parameters.  The truncation,
-the coherent weights and the evolution are fixed once per scenario and the
-rows evaluated one time point at a time, optionally over contiguous slices
-of the time grid in a process pool; every point is a pure function of the
-scenario, so the table is identical for any worker count, and the CSV
-writer pins the formatting so reruns are byte-identical.
+the coherent weights and the block frequencies are fixed once per
+scenario; the time grid is then evaluated in memory-bounded chunks
+(:func:`vibqubit.dynamics.time_chunks`), each chunk going through the
+kernel, the branch reductions and the observables as one batch.  Every
+row is a pure function of the scenario and its time, the same whatever
+the chunk length, and the CSV writer pins the formatting so reruns are
+byte-identical.
 """
 from __future__ import annotations
 
 import io
 import math
 import os
-from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .composite import BellSpec, bell_state, concurrence, evolve_two_qubit, two_qubit_coherence
 from .dynamics import (
-    Evolve,
-    GlobalState,
     ModeParams,
     QubitAmplitudes,
-    evolve_state,
-    reduced_qubit_density,
+    Subsystem,
+    evolve,
     single_qubit_map,
-    stationary_evolve,
+    stationary_subsystem,
+    time_chunks,
+    vibrating_subsystem,
 )
 from .errors import ParameterError
 from .fock import choose_truncation, coherent_amplitudes
@@ -38,30 +39,33 @@ from .observables import l1_coherence, mode_moments
 # The row functions name the kernels and observables they call, so those
 # resolve through this module's globals on every call rather than being
 # captured when the table is built: a wrapper that rebinds them here (the
-# per-layer tracer in perfbench/spans.py) sees every call.
+# per-layer tracer in perfbench/spans.py) sees every call.  Each takes a
+# chunk of times and returns one array per value column.
+
+Columns = Sequence[np.ndarray]
 
 
-def _coherence_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
-    return (l1_coherence(reduced_qubit_density(evolve(QubitAmplitudes(s.c_e, s.c_g), t))),)
+def _coherence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
+    c = np.array([s.c_e, s.c_g], dtype=complex)
+    return (l1_coherence(single_qubit_map(sub, times).apply(np.outer(c, c.conj()))),)
 
 
-def _moments_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
-    sample = mode_moments(evolve(QubitAmplitudes(s.c_e, s.c_g), t))
-    g2 = float("nan") if sample.g2 is None else sample.g2
-    return (sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, g2)
+def _moments_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
+    sample = mode_moments(evolve(sub, QubitAmplitudes(s.c_e, s.c_g), times))
+    return (sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, sample.g2)
 
 
-def _two_qubit_density(s: Scenario, evolve: Evolve, t: float):
-    m = single_qubit_map(evolve, t)
+def _two_qubit_density(s: Scenario, sub: Subsystem, times: np.ndarray):
+    m = single_qubit_map(sub, times)
     return evolve_two_qubit(bell_state(BellSpec(s.bell_kind, s.mu, s.upsilon)), m, m)
 
 
-def _concurrence_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
-    return (concurrence(_two_qubit_density(s, evolve, t)),)
+def _concurrence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
+    return (concurrence(_two_qubit_density(s, sub, times)),)
 
 
-def _tqc_row(s: Scenario, evolve: Evolve, t: float) -> tuple[float, ...]:
-    return (two_qubit_coherence(_two_qubit_density(s, evolve, t)),)
+def _tqc_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
+    return (two_qubit_coherence(_two_qubit_density(s, sub, times)),)
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class _Mode:
     and whether a stationary variant exists."""
 
     columns: tuple[str, ...]
-    row: Callable[[Scenario, Evolve, float], tuple[float, ...]]
+    row: Callable[[Scenario, Subsystem, np.ndarray], Columns]
     y_column: str
     y_label: str
     y_range: tuple[int, int] | None
@@ -185,41 +189,27 @@ def stationary_variant(mode: str) -> str:
     return name
 
 
-def _rows(s: Scenario, times: np.ndarray) -> list[tuple[float, ...]]:
-    """Rows of the table at ``times``; the evolution is set up once for all of them."""
+def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
+    """Evaluate every row of the scenario, in row order.
+
+    The evolution is set up once, then the time grid is evaluated chunk by
+    chunk; only the table of rows spans the whole grid.
+    """
     p = s.mode_params()
     wb = coherent_amplitudes(p.beta_mag, choose_truncation(s.beta_sq, s.tail_tol))
     spec, stationary = _split(s.mode)
     if stationary:
-        rate = s.kappa
-
-        def evolve(q0: QubitAmplitudes, t: float) -> GlobalState:
-            return stationary_evolve(q0, p, wb, t)
+        rate, sub = s.kappa, stationary_subsystem(p, wb)
     else:
-        rate = s.eta * s.kappa
         wa = coherent_amplitudes(p.alpha_mag, choose_truncation(s.alpha_sq, s.tail_tol))
-
-        def evolve(q0: QubitAmplitudes, t: float) -> GlobalState:
-            return evolve_state(q0, p, wa, wb, t)
-
-    return [(t, rate * t, *spec.row(s, evolve, t)) for t in map(float, times)]
-
-
-def run_scenario(s: Scenario, workers: int = 1) -> list[tuple[float, ...]]:
-    """Evaluate every row of the scenario, in row order.
-
-    With ``workers > 1`` the time grid is cut into contiguous slices, one
-    per worker process, and the slices are joined in order, so the result
-    never depends on worker count or completion order.
-    """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+        rate, sub = p.rabi_rate, vibrating_subsystem(p, wa, wb)
     times = s.times()
-    if workers == 1:
-        return _rows(s, times)
-    slices = np.array_split(times, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for part in pool.map(_rows, [s] * len(slices), slices) for row in part]
+    table = np.empty((times.size, 2 + len(spec.columns)))
+    table[:, 0] = times
+    table[:, 1] = rate * times
+    for chunk in time_chunks(sub, times.size):
+        table[chunk, 2:] = np.column_stack(spec.row(s, sub, times[chunk]))
+    return list(map(tuple, table.tolist()))
 
 
 def _format_value(x: float) -> str:
@@ -249,9 +239,9 @@ def render_csv(s: Scenario, rows: list[tuple[float, ...]]) -> str:
     """Render metadata, header, and rows; 9 significant digits throughout.
 
     Nothing about where or how the rows were computed enters the bytes:
-    the output path and worker count are not :class:`Scenario` fields but
-    arguments of the CLI and of :func:`run_scenario`, so the same physics
-    serializes to the same bytes wherever and however it was computed.
+    the output path is not a :class:`Scenario` field but an argument of the
+    CLI, and every row is the same whatever chunk length the sweep used, so
+    the same physics serializes to the same bytes wherever it was computed.
     """
     buf = io.StringIO()
     for line in _metadata_lines(s):

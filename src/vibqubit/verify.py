@@ -30,10 +30,13 @@ from .curves import revival_peak, upper_envelope
 from .dynamics import (
     ModeParams,
     QubitAmplitudes,
+    evolve,
     evolve_state,
     reduced_qubit_density,
     single_qubit_map,
-    stationary_evolve,
+    stationary_subsystem,
+    time_chunks,
+    vibrating_subsystem,
 )
 from .fock import choose_truncation, coherent_amplitudes
 from .observables import l1_coherence, mode_moments
@@ -47,6 +50,9 @@ from .oracle import (
 
 _BALANCED = QubitAmplitudes(2.0 ** -0.5, 2.0 ** -0.5)
 _EXCITED = QubitAmplitudes(1.0, 0.0)
+#: initial densities of the balanced and the excited qubit
+_BALANCED_RHO = np.full((2, 2), 0.5)
+_EXCITED_RHO = np.diag([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -92,29 +98,30 @@ class DensityAuditor:
     min_eigenvalue: float = field(default=math.inf)
 
     def record(self, rho: np.ndarray | TwoQubitDensity) -> None:
+        """Audit one density, or each of a stack of them along leading axes."""
         mat = np.asarray(getattr(rho, "matrix", rho))
-        self.count += 1
-        self.max_herm_dev = max(
-            self.max_herm_dev, float(np.max(np.abs(mat - mat.conj().T)))
-        )
-        self.max_trace_dev = max(self.max_trace_dev, abs(float(np.trace(mat).real) - 1.0))
-        hermitized = 0.5 * (mat + mat.conj().T)
-        self.min_eigenvalue = min(
-            self.min_eigenvalue, float(np.linalg.eigvalsh(hermitized)[0])
-        )
+        if mat.size == 0:
+            return
+        adjoint = np.swapaxes(mat.conj(), -1, -2)
+        self.count += mat.size // (mat.shape[-1] * mat.shape[-2])
+        self.max_herm_dev = max(self.max_herm_dev, float(np.max(np.abs(mat - adjoint))))
+        trace = np.trace(mat, axis1=-2, axis2=-1).real
+        self.max_trace_dev = max(self.max_trace_dev, float(np.max(np.abs(trace - 1.0))))
+        lowest = np.linalg.eigvalsh(0.5 * (mat + adjoint))[..., 0]
+        self.min_eigenvalue = min(self.min_eigenvalue, float(np.min(lowest)))
 
-
-def _pack_like_oracle(state, n_levels_a: int, n_levels_b: int) -> np.ndarray:
-    """Zero-pad analytic grids onto the oracle's (larger) truncated space."""
-    e = np.zeros((n_levels_a, n_levels_b), dtype=complex)
-    g = np.zeros_like(e)
-    e[: state.e_branch.shape[0], : state.e_branch.shape[1]] = state.e_branch
-    g[: state.g_branch.shape[0], : state.g_branch.shape[1]] = state.g_branch
-    return np.concatenate([e.reshape(-1), g.reshape(-1)])
+    def record_sampled(self, rho, chunk: slice, every: int = 100) -> None:
+        """Audit the densities of a sweep chunk whose index in the sweep is a
+        multiple of ``every``."""
+        self.record(np.asarray(getattr(rho, "matrix", rho))[-chunk.start % every :: every])
 
 
 def check_oracle_equivalence(profile: ToleranceProfile, audit: DensityAuditor) -> CheckResult:
-    """Analytic evolution vs matrix exponential over the intensity grid."""
+    """Analytic evolution vs matrix exponential over the intensity grid.
+
+    The analytic grids have ``n_max + 2`` levels per axis, the size of the
+    oracle's space, so a flattened state is already in the oracle's basis.
+    """
     start = time.perf_counter()
     times = np.linspace(0.0, 2500.0, 64)
     worst = 0.0
@@ -125,17 +132,18 @@ def check_oracle_equivalence(profile: ToleranceProfile, audit: DensityAuditor) -
             wa = coherent_amplitudes(p.alpha_mag, choose_truncation(a_sq, profile.tail_tol))
             wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, profile.tail_tol))
             h = build_red_sideband(p, wa.n_max + 1, wb.n_max + 1)
+            sub = vibrating_subsystem(p, wa, wb)
             for q0 in (_EXCITED, _BALANCED):
                 psi0 = coherent_product_state(q0, wa, wb, wa.n_max + 1, wb.n_max + 1)
                 exact = evolve_exact_series(psi0, h, times)
-                for k, t in enumerate(times):
-                    state = evolve_state(q0, p, wa, wb, float(t))
-                    audit.record(reduced_qubit_density(state))
-                    packed = _pack_like_oracle(state, wa.n_max + 2, wb.n_max + 2)
-                    deficit = 1.0 - fidelity(packed, exact[k])
-                    if deficit > worst:
-                        worst = deficit
-                        worst_at = f"a_sq={a_sq}, b_sq={b_sq}, c_e={abs(q0.c_e):.3f}, t={t:.1f}"
+                for chunk in time_chunks(sub, times.size):
+                    states = evolve(sub, q0, times[chunk])
+                    audit.record(reduced_qubit_density(states))
+                    for k, e, g in zip(range(chunk.start, chunk.stop), states.e_branch, states.g_branch):
+                        deficit = 1.0 - fidelity(np.concatenate([e.ravel(), g.ravel()]), exact[k])
+                        if deficit > worst:
+                            worst = deficit
+                            worst_at = f"a_sq={a_sq}, b_sq={b_sq}, c_e={abs(q0.c_e):.3f}, t={times[k]:.1f}"
     return CheckResult(
         name="oracle-equivalence-single",
         passed=worst <= profile.fidelity_deficit,
@@ -184,19 +192,20 @@ def check_map_consistency(profile: ToleranceProfile, audit: DensityAuditor) -> C
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         states.append(QubitAmplitudes(complex(v[0]), complex(v[1])))
+    sub = vibrating_subsystem(p, w, w)
+    times = np.linspace(0.0, 2500.0, 16)
+    m = single_qubit_map(sub, times)
     worst = 0.0
-    for t in np.linspace(0.0, 2500.0, 16):
-        m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), float(t))
-        for q0 in states:
-            direct = reduced_qubit_density(evolve_state(q0, p, w, w, float(t)))
-            rho0 = np.array(
-                [[abs(q0.c_e) ** 2, q0.c_e * np.conj(q0.c_g)],
-                 [q0.c_g * np.conj(q0.c_e), abs(q0.c_g) ** 2]]
-            )
-            via_map = m.apply(rho0)
-            audit.record(direct)
-            audit.record(via_map)
-            worst = max(worst, float(np.max(np.abs(direct - via_map))))
+    for q0 in states:
+        direct = reduced_qubit_density(evolve(sub, q0, times))
+        rho0 = np.array(
+            [[abs(q0.c_e) ** 2, q0.c_e * np.conj(q0.c_g)],
+             [q0.c_g * np.conj(q0.c_e), abs(q0.c_g) ** 2]]
+        )
+        via_map = m.apply(rho0)
+        audit.record(direct)
+        audit.record(via_map)
+        worst = max(worst, float(np.max(np.abs(direct - via_map))))
     return CheckResult(
         name="map-trace-consistency",
         passed=worst <= 1e-9,
@@ -223,13 +232,14 @@ def check_two_qubit_map(profile: ToleranceProfile, audit: DensityAuditor) -> Che
         for intensity in (0.0, 1.0):
             p = ModeParams(alpha_mag=math.sqrt(intensity), beta_mag=math.sqrt(intensity))
             w = coherent_amplitudes(p.alpha_mag, n_max)
-            for t in np.linspace(0.0, 1000.0, 16):
-                m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), float(t))
-                via_map = evolve_two_qubit(rho0, m, m)
+            times = np.linspace(0.0, 1000.0, 16)
+            m = single_qubit_map(vibrating_subsystem(p, w, w), times)
+            via_map = evolve_two_qubit(rho0, m, m)
+            audit.record(via_map)
+            for k, t in enumerate(times):
                 via_oracle = two_subsystem_oracle(spec, p, n_max, float(t))
-                audit.record(via_map)
                 audit.record(via_oracle)
-                td = _trace_distance(via_map.matrix, via_oracle.matrix)
+                td = _trace_distance(via_map.matrix[k], via_oracle.matrix)
                 if td > worst:
                     worst = td
                     worst_at = f"{kind}, intensity={intensity}, t={t:.1f}"
@@ -300,12 +310,12 @@ def _coherence_half_times(profile: ToleranceProfile, audit: DensityAuditor) -> l
     for b_sq in (1.0, 2.0, 4.0):
         p = ModeParams(alpha_mag=1.0, beta_mag=math.sqrt(b_sq))
         wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, profile.tail_tol))
+        sub = vibrating_subsystem(p, wa, wb)
         zeta = np.empty(times.size)
-        for k, t in enumerate(times):
-            rho = reduced_qubit_density(evolve_state(_BALANCED, p, wa, wb, float(t)))
-            if k % 100 == 0:
-                audit.record(rho)
-            zeta[k] = l1_coherence(rho)
+        for chunk in time_chunks(sub, times.size):
+            rho = single_qubit_map(sub, times[chunk]).apply(_BALANCED_RHO)
+            audit.record_sampled(rho, chunk)
+            zeta[chunk] = l1_coherence(rho)
         env = upper_envelope(times, zeta)
         out.append(env.first_crossing_below(zeta[0] / 2.0))
     return out
@@ -319,15 +329,15 @@ def _two_qubit_sweeps(profile: ToleranceProfile, audit: DensityAuditor) -> tuple
     for b_sq in (1.0, 2.0, 4.0):
         p = ModeParams(alpha_mag=1.0, beta_mag=math.sqrt(b_sq))
         wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, profile.tail_tol))
+        sub = vibrating_subsystem(p, wa, wb)
         conc = np.empty(times.size)
         tqc = np.empty(times.size)
-        for k, t in enumerate(times):
-            m = single_qubit_map(lambda q0, t: evolve_state(q0, p, wa, wb, t), float(t))
+        for chunk in time_chunks(sub, times.size):
+            m = single_qubit_map(sub, times[chunk])
             rho = evolve_two_qubit(rho0, m, m)
-            if k % 100 == 0:
-                audit.record(rho)
-            conc[k] = concurrence(rho)
-            tqc[k] = two_qubit_coherence(rho)
+            audit.record_sampled(rho, chunk)
+            conc[chunk] = concurrence(rho)
+            tqc[chunk] = two_qubit_coherence(rho)
         extinctions.append(upper_envelope(times, conc).first_crossing_below(0.01))
         halves.append(upper_envelope(times, tqc).first_crossing_below(tqc[0] / 2.0))
     return extinctions, halves
@@ -376,16 +386,16 @@ def check_correlation_floor(profile: ToleranceProfile, audit: DensityAuditor) ->
     start = time.perf_counter()
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
     w = coherent_amplitudes(1.0, choose_truncation(1.0, profile.tail_tol))
+    sub = vibrating_subsystem(p, w, w)
     times = np.linspace(2500.0, 5000.0, 1251)
     mins = {}
     for label, q0 in (("balanced", _BALANCED), ("excited", _EXCITED)):
-        values = []
-        for k, t in enumerate(times):
-            state = evolve_state(q0, p, w, w, float(t))
-            if k % 100 == 0:
-                audit.record(reduced_qubit_density(state))
-            values.append(mode_moments(state).cross_corr)
-        mins[label] = min(values)
+        lowest = math.inf
+        for chunk in time_chunks(sub, times.size):
+            state = evolve(sub, q0, times[chunk])
+            audit.record_sampled(reduced_qubit_density(state), chunk)
+            lowest = min(lowest, float(np.min(mode_moments(state).cross_corr)))
+        mins[label] = lowest
     ok = mins["balanced"] > 0.0 and mins["excited"] <= 0.0
     return CheckResult(
         name="qualitative-correlation-floor",
@@ -401,13 +411,13 @@ def check_revival(profile: ToleranceProfile, audit: DensityAuditor) -> CheckResu
     start = time.perf_counter()
     p = ModeParams(alpha_mag=0.0, beta_mag=5.0)
     wb = coherent_amplitudes(5.0, choose_truncation(25.0, profile.tail_tol))
+    sub = stationary_subsystem(p, wb)
     times = np.linspace(0.0, 60.0, 3001)
     signal = np.empty(times.size)
-    for k, t in enumerate(times):
-        rho = reduced_qubit_density(stationary_evolve(_EXCITED, p, wb, float(t)))
-        if k % 200 == 0:
-            audit.record(rho)
-        signal[k] = abs(rho[0, 0].real - 0.5)
+    for chunk in time_chunks(sub, times.size):
+        rho = single_qubit_map(sub, times[chunk]).apply(_EXCITED_RHO)
+        audit.record_sampled(rho, chunk, every=200)
+        signal[chunk] = np.abs(rho[:, 0, 0].real - 0.5)
     collapse = upper_envelope(times, signal).first_crossing_below(0.05)
     peak_time, peak_value = revival_peak(times, signal, (collapse, float(times[-1])))
     expected = 2.0 * math.pi * 5.0 / p.kappa

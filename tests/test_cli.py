@@ -82,6 +82,9 @@ def test_unrepresentable_inputs_exit_two(tmp_path):
     # exp(-alpha_sq) underflows double precision
     assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "800",
                    "--steps", "3", "--t-max", "10", "--out", out) == 2
+    # a NaN amplitude has no norm
+    assert run_cli("run", "--mode", "single-coherence", "--ce=nan,0", "--cg=0,0",
+                   "--steps", "3", "--t-max", "10", "--out", out) == 2
 
 
 def test_ce_requires_cg(tmp_path):
@@ -97,17 +100,6 @@ def test_malformed_ce_flag(tmp_path, capsys):
         run_cli("run", "--mode", "single-coherence", "--ce", "banana",
                 "--steps", "2", "--t-max", "10")
     assert err.value.code == 2
-
-
-def test_workers_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("VIBQUBIT_WORKERS", "2")
-    out = tmp_path / "w.csv"
-    code = run_cli("run", "--mode", "concurrence", "--steps", "3", "--t-max", "30",
-                   "--out", str(out))
-    assert code == 0
-    monkeypatch.setenv("VIBQUBIT_WORKERS", "zero")
-    assert run_cli("run", "--mode", "concurrence", "--steps", "3", "--t-max", "30",
-                   "--out", str(out)) == 2
 
 
 # ----------------------------------------------------------------- config file

@@ -12,10 +12,10 @@ from vibqubit import (
     choose_truncation,
     coherent_amplitudes,
     concurrence,
-    evolve_state,
     evolve_two_qubit,
     single_qubit_map,
     two_qubit_coherence,
+    vibrating_subsystem,
 )
 from vibqubit.oracle import two_subsystem_oracle
 
@@ -26,7 +26,7 @@ def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0, tail_tol=1e-12):
     p = ModeParams(alpha_mag=math.sqrt(alpha_sq), beta_mag=math.sqrt(beta_sq))
     wa = coherent_amplitudes(p.alpha_mag, choose_truncation(alpha_sq, tail_tol))
     wb = coherent_amplitudes(p.beta_mag, choose_truncation(beta_sq, tail_tol))
-    return single_qubit_map(lambda q0, t: evolve_state(q0, p, wa, wb, t), t)
+    return single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
 
 # ------------------------------------------------------------------ bell_state
@@ -57,6 +57,8 @@ def test_bell_spec_validation():
         BellSpec("chi", HALF, HALF)
     with pytest.raises(ParameterError):
         BellSpec("phi", 1.0, 1.0)
+    with pytest.raises(ParameterError):
+        BellSpec("phi", math.nan, 0.0)
 
 
 # ------------------------------------------------------------ evolve_two_qubit
@@ -100,7 +102,7 @@ def test_two_qubit_map_matches_joint_oracle_vacuum():
     w = coherent_amplitudes(0.0, 4)
     rho0 = bell_state(spec)
     for t in (0.0, 40.0, 111.0):
-        m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), t)
+        m = single_qubit_map(vibrating_subsystem(p, w, w), t)
         via_map = evolve_two_qubit(rho0, m, m).matrix
         via_oracle = two_subsystem_oracle(spec, p, 4, t).matrix
         assert np.max(np.abs(via_map - via_oracle)) < 1e-9
@@ -112,7 +114,7 @@ def test_two_qubit_map_matches_joint_oracle_coherent():
     n_max = 12
     w = coherent_amplitudes(1.0, n_max)
     rho0 = bell_state(spec)
-    m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), 400.0)
+    m = single_qubit_map(vibrating_subsystem(p, w, w), 400.0)
     via_map = evolve_two_qubit(rho0, m, m).matrix
     via_oracle = two_subsystem_oracle(spec, p, n_max, 400.0).matrix
     diff = via_map - via_oracle
@@ -149,7 +151,7 @@ def test_vacuum_concurrence_closed_form():
     w = coherent_amplitudes(0.0, 4)
     rho0 = bell_state(spec)
     for t in (0.0, 19.0, math.pi / 4 / p.rabi_rate):
-        m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), t)
+        m = single_qubit_map(vibrating_subsystem(p, w, w), t)
         value = concurrence(evolve_two_qubit(rho0, m, m))
         expected = math.cos(p.rabi_rate * t) ** 2
         assert value == pytest.approx(expected, abs=1e-12)
@@ -160,7 +162,7 @@ def test_concurrence_matches_oracle_route():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     t = math.pi / 4 / p.rabi_rate
-    m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), t)
+    m = single_qubit_map(vibrating_subsystem(p, w, w), t)
     via_map = concurrence(evolve_two_qubit(bell_state(spec), m, m))
     via_oracle = concurrence(two_subsystem_oracle(spec, p, 4, t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)
@@ -238,7 +240,7 @@ def test_tqc_matches_l1_of_oracle_density():
     n_max = 12
     w = coherent_amplitudes(1.0, n_max)
     t = 1.0 / p.rabi_rate
-    m = single_qubit_map(lambda q0, t: evolve_state(q0, p, w, w, t), t)
+    m = single_qubit_map(vibrating_subsystem(p, w, w), t)
     via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m, m))
     via_oracle = l1_coherence(two_subsystem_oracle(spec, p, n_max, t).matrix)
     assert via_map == pytest.approx(via_oracle, abs=1e-8)

@@ -16,6 +16,8 @@ from vibqubit import (
     reduced_qubit_density,
     single_qubit_map,
     stationary_evolve,
+    stationary_subsystem,
+    vibrating_subsystem,
 )
 from vibqubit.oracle import (
     build_jaynes_cummings,
@@ -172,9 +174,16 @@ def test_unshifted_lowering_coefficient_breaks_norm():
 
 
 def test_negative_time_rejected():
+    # and every time that is not finite
     p, wa, wb = default_params()
-    with pytest.raises(ParameterError):
-        evolve_state(BALANCED, p, wa, wb, -0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        for t in (bad, np.array([0.0, bad])):
+            with pytest.raises(ParameterError):
+                evolve_state(BALANCED, p, wa, wb, t)
+            with pytest.raises(ParameterError):
+                stationary_evolve(BALANCED, p, wb, t)
+            with pytest.raises(ParameterError):
+                single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
 
 def test_mismatched_weights_rejected():
@@ -291,7 +300,7 @@ def test_stationary_couples_at_kappa():
 
 
 def vibrating_map(p, wa, wb, t):
-    return single_qubit_map(lambda q0, t: evolve_state(q0, p, wa, wb, t), t)
+    return single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
 
 def test_map_at_time_zero_is_identity():
@@ -351,7 +360,7 @@ def test_map_rejects_bad_density_shape():
 def test_stationary_map_mode():
     p = ModeParams(alpha_mag=0.0, beta_mag=1.0)
     wb = coherent_amplitudes(1.0, 14)
-    m = single_qubit_map(lambda q0, t: stationary_evolve(q0, p, wb, t), 2.0)
+    m = single_qubit_map(stationary_subsystem(p, wb), 2.0)
     trace_row = m.matrix[0] + m.matrix[3]
     assert np.allclose(trace_row, [1.0, 0.0, 0.0, 1.0], atol=1e-9)
 
@@ -371,6 +380,8 @@ def test_lamb_dicke_bounds():
 def test_qubit_amplitudes_must_be_normalized():
     with pytest.raises(ParameterError):
         QubitAmplitudes(1.0, 1.0)
+    with pytest.raises(ParameterError):
+        QubitAmplitudes(math.nan, 0.0)
 
 
 def test_negative_coupling_rejected():

@@ -151,8 +151,9 @@ def test_propagator_input_validation():
         evolve_exact(psi0 * 2.0, h, 1.0)  # not normalized
     with pytest.raises(ParameterError):
         evolve_exact(psi0[:-1], h, 1.0)  # wrong dimension
-    with pytest.raises(ParameterError):
-        evolve_exact_series(psi0, h, np.array([-1.0]))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            evolve_exact_series(psi0, h, np.array([0.0, bad]))
 
 
 def test_unnormalized_product_state_rejected_by_contract():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vibqubit import ParameterError
+from vibqubit import ParameterError, dynamics
 from vibqubit.scenarios import (
     ALL_MODES,
     Scenario,
@@ -75,11 +75,18 @@ def test_g2_column_is_nan_when_undefined():
     assert not math.isnan(rows[1][6])
 
 
-def test_worker_counts_agree():
-    base = small("concurrence", n_steps=9)
-    rows1 = run_scenario(base)
-    rows3 = run_scenario(base, workers=3)
-    assert rows1 == rows3
+def chunked(mode):
+    """A scenario whose default chunks each hold many times."""
+    return Scenario(mode=mode, alpha_sq=1.0, beta_sq=4.0, n_steps=301, t_max=900.0,
+                    c_e=0.6, c_g=0.8j)
+
+
+def test_rows_identical_across_chunk_lengths(monkeypatch):
+    default = {mode: run_scenario(chunked(mode)) for mode in ALL_MODES}
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1)  # one time per chunk
+    for mode in ALL_MODES:
+        rows = run_scenario(chunked(mode))
+        assert np.asarray(rows).tobytes() == np.asarray(default[mode]).tobytes(), mode
 
 
 def test_scenario_validation():
@@ -97,8 +104,6 @@ def test_scenario_validation():
         Scenario(mode="tqc", bell_kind="chi")
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", alpha_sq=-1.0)
-    with pytest.raises(ParameterError):
-        run_scenario(small("tqc"), workers=0)
     with pytest.raises(ParameterError):
         Scenario(mode="single-coherence", c_e=1.0, c_g=1.0)
 
@@ -125,10 +130,12 @@ def test_csv_reruns_are_byte_identical(tmp_path):
     assert text1 == text2
 
 
-def test_csv_identical_across_worker_counts(tmp_path):
-    s = small("mode-correlation")
-    rows = {workers: render_csv(s, run_scenario(s, workers)) for workers in (1, 2, 4)}
-    assert rows[1] == rows[2] == rows[4]
+def test_csv_identical_across_chunk_lengths(monkeypatch):
+    default = {mode: render_csv(chunked(mode), run_scenario(chunked(mode))) for mode in ALL_MODES}
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1)  # one time per chunk
+    for mode in ALL_MODES:
+        s = chunked(mode)
+        assert render_csv(s, run_scenario(s)) == default[mode], mode
 
 
 def test_csv_metadata_carries_full_parameter_set(tmp_path):
@@ -149,8 +156,8 @@ def test_csv_metadata_carries_full_parameter_set(tmp_path):
     assert float(metadata["tail_tol"]) == 1e-12
     assert "c_e" in metadata and "c_g" in metadata
     assert columns == ["t", "eta_kappa_t", "value"]
-    # worker count and output path must not leak into the bytes
-    assert "workers" not in metadata and "out" not in metadata
+    # the output path must not leak into the bytes
+    assert "out" not in metadata
 
 
 def test_csv_numeric_format():
