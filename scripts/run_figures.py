@@ -60,7 +60,7 @@ def run_one(scenario: Scenario, csv_path: pathlib.Path) -> pathlib.Path:
     gp_path = csv_path.parent / (csv_path.name + ".gp")
     # the plot script references the CSV by the same path used to write it,
     # so run gnuplot from the directory this script was invoked from
-    gp_path.write_text(emit_plot_script(str(csv_path), scenario.mode))
+    gp_path.write_text(emit_plot_script(scenario, str(csv_path)))
     return csv_path
 
 

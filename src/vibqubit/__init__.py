@@ -21,10 +21,8 @@ from .dynamics import (
     QubitAmplitudes,
     Subsystem,
     evolve,
-    evolve_state,
     reduced_qubit_density,
     single_qubit_map,
-    stationary_evolve,
     stationary_subsystem,
     vibrating_subsystem,
 )
@@ -37,9 +35,7 @@ from .scenarios import (
     VIBRATING_MODES,
     Scenario,
     emit_plot_script,
-    read_csv_header,
     run_scenario,
-    stationary_variant,
     write_csv,
 )
 
@@ -66,18 +62,14 @@ __all__ = [
     "concurrence",
     "emit_plot_script",
     "evolve",
-    "evolve_state",
     "evolve_two_qubit",
     "l1_coherence",
     "mode_moments",
-    "read_csv_header",
     "reduced_qubit_density",
     "revival_peak",
     "run_scenario",
     "single_qubit_map",
-    "stationary_evolve",
     "stationary_subsystem",
-    "stationary_variant",
     "two_qubit_coherence",
     "upper_envelope",
     "vibrating_subsystem",

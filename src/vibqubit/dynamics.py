@@ -69,8 +69,9 @@ class ModeParams:
             )
         if not (self.kappa > 0 and math.isfinite(self.kappa)):
             raise ParameterError(f"coupling kappa must be > 0, got {self.kappa!r}")
-        if self.alpha_mag < 0 or self.beta_mag < 0:
-            raise ParameterError("coherent amplitudes must be >= 0")
+        # written so that NaN and inf fail too
+        if not all(x >= 0 and math.isfinite(x) for x in (self.alpha_mag, self.beta_mag)):
+            raise ParameterError("coherent amplitudes must be finite and >= 0")
 
     @property
     def rabi_rate(self) -> float:
@@ -332,18 +333,6 @@ def evolve(
     return GlobalState(q0=q0, tables=tables, time=times if np.ndim(t) else float(t))
 
 
-def evolve_state(
-    q0: QubitAmplitudes,
-    p: ModeParams,
-    wa: CoherentAmplitudes,
-    wb: CoherentAmplitudes,
-    t: float | np.ndarray,
-    unshifted_d: bool = False,
-) -> GlobalState:
-    """:func:`evolve` in the subsystem :func:`vibrating_subsystem` sets up."""
-    return evolve(vibrating_subsystem(p, wa, wb), q0, t, unshifted_d)
-
-
 def reduced_qubit_density(s: GlobalState) -> np.ndarray:
     """Trace out both modes; returns the 2x2 density in the (e, g) basis.
 
@@ -353,18 +342,6 @@ def reduced_qubit_density(s: GlobalState) -> np.ndarray:
     """
     k = _coefficients(s.q0)
     return s._per_time(k @ _gram(s.tables) @ k.conj().T)
-
-
-def stationary_evolve(
-    q0: QubitAmplitudes,
-    p: ModeParams,
-    wb: CoherentAmplitudes,
-    t: float | np.ndarray,
-) -> GlobalState:
-    """:func:`evolve` in the subsystem :func:`stationary_subsystem` sets up;
-    the vibrational grid axis of the result has length 1."""
-    s = evolve(stationary_subsystem(p, wb), q0, t)
-    return GlobalState(q0=q0, tables=s.tables[:, :, None, :], time=s.time)
 
 
 #: branch coefficients of the two qubit basis states, rows (E, G) from

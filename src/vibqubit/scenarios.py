@@ -1,8 +1,11 @@
-"""Scenario evaluation: time sweeps over the dynamics, CSV output, plot scripts.
+"""Scenario evaluation: time sweeps over the dynamics, CSV output, gnuplot scripts.
 
 A scenario names one curve family (single-qubit coherence, mode-mode
 correlation, two-qubit concurrence or coherence, each with a stationary
-variant where meaningful) plus the physical parameters.  The truncation,
+variant where meaningful) plus the physical parameters.  :class:`Scenario`
+is the one place a mode name is interpreted: the command line builds one
+from its flags, and both the CSV and the plot script of a curve are
+rendered from it.  The truncation,
 the coherent weights and the block frequencies are fixed once per
 scenario; the time grid is then evaluated in memory-bounded chunks
 (:func:`vibqubit.dynamics.time_chunks`), each chunk going through the
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -109,11 +111,6 @@ def _split(mode: str) -> tuple[_Mode, bool]:
     return _MODES[base], base != mode
 
 
-def _columns(mode: str) -> tuple[str, ...]:
-    spec, stationary = _split(mode)
-    return ("t", "kappa_t" if stationary else "eta_kappa_t") + spec.columns
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One runnable curve: mode name plus every physical and sweep parameter.
@@ -121,12 +118,14 @@ class Scenario:
     ``c_e``/``c_g`` drive the single-qubit modes; ``bell_kind``/``mu`` drive
     the two-qubit ones (``upsilon`` is the real non-negative complement).
     The irrelevant half is carried anyway so the emitted metadata is the
-    full parameter set regardless of mode.
+    full parameter set regardless of mode.  Left out, ``c_e``/``c_g`` become
+    |e> for an ``-excited`` mode and the balanced state otherwise; give both
+    or neither, and an ``-excited`` mode takes no state but (1, 0).
     """
 
     mode: str
-    c_e: complex = 2.0 ** -0.5
-    c_g: complex = 2.0 ** -0.5
+    c_e: complex | None = None
+    c_g: complex | None = None
     bell_kind: str = "phi"
     mu: float = 2.0 ** -0.5
     eta: float = 0.02
@@ -150,12 +149,27 @@ class Scenario:
             raise ParameterError(f"mu must lie in [0, 1], got {self.mu!r}")
         if self.bell_kind not in ("phi", "psi"):
             raise ParameterError(f"bell kind must be 'phi' or 'psi', got {self.bell_kind!r}")
-        if self.alpha_sq < 0 or self.beta_sq < 0:
-            raise ParameterError("alpha_sq and beta_sq must be >= 0")
-        # fail fast on anything ModeParams or QubitAmplitudes would reject
+        # written so that NaN and inf fail too
+        if not all(x >= 0 and math.isfinite(x) for x in (self.alpha_sq, self.beta_sq)):
+            raise ParameterError("alpha_sq and beta_sq must be finite and >= 0")
+        self._resolve_amplitudes()
+        # fail fast on anything ModeParams or QubitAmplitudes would reject; the
+        # two-qubit modes check the amplitudes too, as the metadata records them
         self.mode_params()
-        if not self.mode.endswith(("concurrence", "tqc")):
-            QubitAmplitudes(self.c_e, self.c_g)
+        QubitAmplitudes(self.c_e, self.c_g)
+
+    def _resolve_amplitudes(self) -> None:
+        excited = self.mode.endswith("-excited")
+        if (self.c_e is None) != (self.c_g is None):
+            raise ParameterError("give both c_e and c_g (--ce and --cg) or neither")
+        if self.c_e is None:
+            c_e, c_g = (1.0, 0.0) if excited else (2.0 ** -0.5, 2.0 ** -0.5)
+            object.__setattr__(self, "c_e", c_e)
+            object.__setattr__(self, "c_g", c_g)
+        elif excited and (self.c_e, self.c_g) != (1, 0):
+            raise ParameterError(
+                f"mode {self.mode!r} starts in |e>; got c_e={self.c_e!r}, c_g={self.c_g!r}"
+            )
 
     @property
     def upsilon(self) -> float:
@@ -174,19 +188,8 @@ class Scenario:
         return np.arange(self.n_steps) * (self.t_max / (self.n_steps - 1))
 
     def columns(self) -> tuple[str, ...]:
-        return _columns(self.mode)
-
-
-def stationary_variant(mode: str) -> str:
-    """Map a base mode name to its stationary counterpart."""
-    if mode.startswith("stationary-"):
-        return mode
-    name = f"stationary-{mode}"
-    if name not in STATIONARY_MODES:
-        raise ParameterError(
-            f"mode {mode!r} has no stationary variant (the vibrational mode is essential to it)"
-        )
-    return name
+        spec, stationary = _split(self.mode)
+        return ("t", "kappa_t" if stationary else "eta_kappa_t") + spec.columns
 
 
 def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
@@ -258,48 +261,10 @@ def write_csv(s: Scenario, rows: list[tuple[float, ...]], path: str) -> None:
         fh.write(text)
 
 
-def read_csv_header(path: str) -> tuple[dict[str, str], list[str]]:
-    """Metadata dict and column list of a scenario CSV; used by plot-script."""
-    if not os.path.exists(path):
-        raise ParameterError(f"CSV not found: {path}")
-    metadata: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if not line:
-                continue
-            return metadata, line.split(",")
-    raise ParameterError(f"CSV {path} has no header row")
-
-
-def emit_plot_script(csv_path: str, mode: str | None = None) -> str:
-    """Text of a gnuplot script rendering the scenario curve.
-
-    ``mode`` defaults to the value recorded in the CSV metadata.  The CSV
-    must exist and carry the exact column set of that mode.
-    """
-    metadata, columns = read_csv_header(csv_path)
-    if mode is None:
-        mode = metadata.get("mode")
-        if mode is None:
-            raise ParameterError(f"CSV {csv_path} has no mode metadata; pass the mode explicitly")
-    if mode not in ALL_MODES:
-        raise ParameterError(f"unknown scenario mode {mode!r}")
-    expected = list(_columns(mode))
-    if columns != expected:
-        raise ParameterError(
-            f"CSV {csv_path} columns {columns} do not match mode {mode!r} (expected {expected})"
-        )
-
-    axis_label = "eta*kappa*t" if expected[1] == "eta_kappa_t" else "kappa*t"
-    spec, _ = _split(mode)
-    y_col = expected.index(spec.y_column) + 1
-
+def emit_plot_script(s: Scenario, csv_path: str) -> str:
+    """Text of a gnuplot script plotting the curve of ``s`` from ``csv_path``."""
+    spec, stationary = _split(s.mode)
+    axis_label = "kappa*t" if stationary else "eta*kappa*t"
     lines = [
         "# gnuplot script generated from a scenario CSV",
         "set datafile separator ','",
@@ -310,5 +275,5 @@ def emit_plot_script(csv_path: str, mode: str | None = None) -> str:
     ]
     if spec.y_range is not None:
         lines.append(f"set yrange [{spec.y_range[0]}:{spec.y_range[1]}]")
-    lines.append(f"plot '{csv_path}' using 2:{y_col} with lines")
+    lines.append(f"plot '{csv_path}' using 2:{s.columns().index(spec.y_column) + 1} with lines")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,6 @@ from .dynamics import (
     ModeParams,
     QubitAmplitudes,
     evolve,
-    evolve_state,
     reduced_qubit_density,
     single_qubit_map,
     stationary_subsystem,
@@ -166,8 +165,9 @@ def check_falsification(profile: ToleranceProfile, audit: DensityAuditor) -> Che
     n_max = choose_truncation(1.0, profile.tail_tol)
     w = coherent_amplitudes(1.0, n_max)
     t = 2.0 / p.rabi_rate
-    bad = evolve_state(_BALANCED, p, w, w, t, unshifted_d=True)
-    good = evolve_state(_BALANCED, p, w, w, t)
+    sub = vibrating_subsystem(p, w, w)
+    bad = evolve(sub, _BALANCED, t, unshifted_d=True)
+    good = evolve(sub, _BALANCED, t)
     audit.record(reduced_qubit_density(good))
     bad_dev = abs(1.0 - bad.norm_sq())
     good_dev = abs(1.0 - good.norm_sq())
@@ -258,16 +258,16 @@ def check_anchors(profile: ToleranceProfile, audit: DensityAuditor) -> CheckResu
     start = time.perf_counter()
     n_max = choose_truncation(1.0, profile.tail_tol)
     w = coherent_amplitudes(1.0, n_max)
-    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    sub = vibrating_subsystem(ModeParams(alpha_mag=1.0, beta_mag=1.0), w, w)
     failures = []
 
-    rho = reduced_qubit_density(evolve_state(_BALANCED, p, w, w, 0.0))
+    rho = reduced_qubit_density(evolve(sub, _BALANCED, 0.0))
     audit.record(rho)
     dev = abs(l1_coherence(rho) - 1.0)
     if dev > 1e-12:
         failures.append(f"zeta(0) balanced: off by {dev:.2e}")
 
-    rho = reduced_qubit_density(evolve_state(_EXCITED, p, w, w, 0.0))
+    rho = reduced_qubit_density(evolve(sub, _EXCITED, 0.0))
     audit.record(rho)
     dev = abs(l1_coherence(rho))
     if dev > 1e-12:
@@ -288,8 +288,9 @@ def check_anchors(profile: ToleranceProfile, audit: DensityAuditor) -> CheckResu
             pp = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
             wa = coherent_amplitudes(pp.alpha_mag, choose_truncation(a_sq, profile.tail_tol))
             wb = coherent_amplitudes(pp.beta_mag, choose_truncation(b_sq, profile.tail_tol))
+            sub = vibrating_subsystem(pp, wa, wb)
             for q0 in (_EXCITED, _BALANCED):
-                sample = mode_moments(evolve_state(q0, pp, wa, wb, 0.0))
+                sample = mode_moments(evolve(sub, q0, 0.0))
                 worst_c0 = max(worst_c0, abs(sample.cross_corr))
     if worst_c0 > 1e-12:
         failures.append(f"cross_corr(0): off by {worst_c0:.2e}")

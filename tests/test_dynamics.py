@@ -12,10 +12,9 @@ from vibqubit import (
     QubitAmplitudes,
     choose_truncation,
     coherent_amplitudes,
-    evolve_state,
+    evolve,
     reduced_qubit_density,
     single_qubit_map,
-    stationary_evolve,
     stationary_subsystem,
     vibrating_subsystem,
 )
@@ -67,8 +66,8 @@ def oracle_reduced_density(psi, n_levels_a, n_levels_b):
 
 def test_coefficients_at_time_zero():
     p, wa, wb = default_params()
-    from_e = evolve_state(EXCITED, p, wa, wb, 0.0)
-    from_g = evolve_state(GROUND, p, wa, wb, 0.0)
+    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, 0.0)
+    from_g = evolve(vibrating_subsystem(p, wa, wb), GROUND, 0.0)
     for m, n in ((0, 0), (1, 2), (5, 3)):
         assert from_e.e_branch[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # a
         assert from_g.g_branch[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # c
@@ -79,7 +78,7 @@ def test_coefficients_at_time_zero():
 def test_lowering_coefficient_dark_for_empty_mode():
     # |g, m, n> with an empty mode cannot have come from any excited state
     p, wa, wb = default_params()
-    from_e = evolve_state(EXCITED, p, wa, wb, 37.0)
+    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, 37.0)
     for m, n in ((0, 0), (0, 3), (3, 0)):
         assert from_e.g_branch[m, n] == 0.0  # d
 
@@ -91,8 +90,8 @@ def test_coefficient_values_against_oracle_amplitudes():
     flat_e = (0 * (wa.n_max + 2) + m) * (wb.n_max + 2) + n
     flat_g = (1 * (wa.n_max + 2) + m) * (wb.n_max + 2) + n
 
-    from_e = evolve_state(EXCITED, p, wa, wb, t)
-    from_g = evolve_state(GROUND, p, wa, wb, t)
+    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, t)
+    from_g = evolve(vibrating_subsystem(p, wa, wb), GROUND, t)
     a, d = from_e.e_branch[m, n], from_e.g_branch[m, n]
     b, c = from_g.e_branch[m, n], from_g.g_branch[m, n]
     psi_e = oracle_state(EXCITED, p, wa, wb, t)
@@ -105,14 +104,14 @@ def test_coefficient_values_against_oracle_amplitudes():
     assert psi_g[flat_g] * scale == pytest.approx(c, abs=1e-9)
 
 
-# --------------------------------------------------------------- evolve_state
+# --------------------------------------------------------------------- evolve
 
 
 def test_ground_vacuum_is_stationary():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 13.0, 400.0):
-        s = evolve_state(GROUND, p, w, w, t)
+        s = evolve(vibrating_subsystem(p, w, w), GROUND, t)
         assert s.g_branch[0, 0] == pytest.approx(1.0)
         assert np.max(np.abs(s.e_branch)) == 0.0
 
@@ -122,7 +121,7 @@ def test_vacuum_rabi_pair():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 7.0, 60.0):
-        s = evolve_state(EXCITED, p, w, w, t)
+        s = evolve(vibrating_subsystem(p, w, w), EXCITED, t)
         theta = p.rabi_rate * t
         assert s.e_branch[0, 0] == pytest.approx(math.cos(theta), abs=1e-12)
         assert s.g_branch[1, 1] == pytest.approx(-1j * math.sin(theta), abs=1e-12)
@@ -131,7 +130,7 @@ def test_vacuum_rabi_pair():
 
 def test_grids_extend_one_level_past_truncation():
     p, wa, wb = default_params()
-    s = evolve_state(BALANCED, p, wa, wb, 11.0)
+    s = evolve(vibrating_subsystem(p, wa, wb), BALANCED, 11.0)
     assert s.e_branch.shape == (wa.n_max + 2, wb.n_max + 2)
 
 
@@ -141,21 +140,21 @@ def test_norm_deficit_is_static_truncation_tail():
     p, wa, wb = default_params()
     expected = (1.0 - wa.tail_mass) * (1.0 - wb.tail_mass)
     for t in (0.0, 25.0, 500.0, 2500.0):
-        s = evolve_state(BALANCED, p, wa, wb, t)
+        s = evolve(vibrating_subsystem(p, wa, wb), BALANCED, t)
         assert s.norm_sq() == pytest.approx(expected, abs=1e-13)
 
 
 def test_fidelity_against_oracle_balanced():
     p, wa, wb = default_params()
     for t in (2.0 / p.rabi_rate, 500.0, 2500.0):
-        analytic = pack_state(evolve_state(BALANCED, p, wa, wb, t))
+        analytic = pack_state(evolve(vibrating_subsystem(p, wa, wb), BALANCED, t))
         exact = oracle_state(BALANCED, p, wa, wb, t)
         assert fidelity(analytic, exact) >= 1.0 - 1e-8
 
 
 def test_fidelity_against_oracle_large_intensity():
     p, wa, wb = default_params(alpha_sq=4.0, beta_sq=4.0)
-    analytic = pack_state(evolve_state(EXCITED, p, wa, wb, 300.0))
+    analytic = pack_state(evolve(vibrating_subsystem(p, wa, wb), EXCITED, 300.0))
     exact = oracle_state(EXCITED, p, wa, wb, 300.0)
     assert fidelity(analytic, exact) >= 1.0 - 1e-10
 
@@ -165,11 +164,11 @@ def test_unshifted_lowering_coefficient_breaks_norm():
     # variant loses a reproducible 0.1267 of probability by eta*kappa*t = 2
     p, wa, wb = default_params()
     t = 2.0 / p.rabi_rate
-    bad = evolve_state(BALANCED, p, wa, wb, t, unshifted_d=True)
+    bad = evolve(vibrating_subsystem(p, wa, wb), BALANCED, t, unshifted_d=True)
     deviation = abs(bad.norm_sq() - 1.0)
     assert deviation > 1e-3
     assert deviation == pytest.approx(0.1267071897586367, abs=1e-12)
-    good = evolve_state(BALANCED, p, wa, wb, t)
+    good = evolve(vibrating_subsystem(p, wa, wb), BALANCED, t)
     assert abs(good.norm_sq() - 1.0) < 1e-9
 
 
@@ -179,9 +178,9 @@ def test_negative_time_rejected():
     for bad in (-0.5, math.nan, math.inf):
         for t in (bad, np.array([0.0, bad])):
             with pytest.raises(ParameterError):
-                evolve_state(BALANCED, p, wa, wb, t)
+                evolve(vibrating_subsystem(p, wa, wb), BALANCED, t)
             with pytest.raises(ParameterError):
-                stationary_evolve(BALANCED, p, wb, t)
+                evolve(stationary_subsystem(p, wb), BALANCED, t)
             with pytest.raises(ParameterError):
                 single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
@@ -190,7 +189,7 @@ def test_mismatched_weights_rejected():
     p, wa, wb = default_params()
     w_wrong = coherent_amplitudes(2.0, 18)
     with pytest.raises(ParameterError):
-        evolve_state(BALANCED, p, w_wrong, wb, 1.0)
+        evolve(vibrating_subsystem(p, w_wrong, wb), BALANCED, 1.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -201,7 +200,7 @@ def test_mismatched_weights_rejected():
 def test_norm_conserved_for_any_qubit_state(t, angle):
     q0 = QubitAmplitudes(math.cos(angle), math.sin(angle))
     p, wa, wb = default_params()
-    s = evolve_state(q0, p, wa, wb, t)
+    s = evolve(vibrating_subsystem(p, wa, wb), q0, t)
     assert abs(s.norm_sq() - 1.0) < 1e-9
 
 
@@ -210,7 +209,7 @@ def test_norm_conserved_for_any_qubit_state(t, angle):
 
 def test_reduced_density_at_time_zero():
     p, wa, wb = default_params()
-    rho = reduced_qubit_density(evolve_state(BALANCED, p, wa, wb, 0.0))
+    rho = reduced_qubit_density(evolve(vibrating_subsystem(p, wa, wb), BALANCED, 0.0))
     expected = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(rho, expected, atol=1e-12)
 
@@ -218,7 +217,7 @@ def test_reduced_density_at_time_zero():
 def test_populations_sum_to_one():
     p, wa, wb = default_params()
     for t in (3.0, 77.0, 1200.0):
-        rho = reduced_qubit_density(evolve_state(BALANCED, p, wa, wb, t))
+        rho = reduced_qubit_density(evolve(vibrating_subsystem(p, wa, wb), BALANCED, t))
         assert abs(rho[1, 1].real - (1.0 - rho[0, 0].real)) < 1e-9
 
 
@@ -226,14 +225,14 @@ def test_excited_vacuum_population_oscillates():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 10.0, 42.0):
-        rho = reduced_qubit_density(evolve_state(EXCITED, p, w, w, t))
+        rho = reduced_qubit_density(evolve(vibrating_subsystem(p, w, w), EXCITED, t))
         assert rho[0, 0].real == pytest.approx(math.cos(p.rabi_rate * t) ** 2, abs=1e-12)
 
 
 def test_reduced_density_matches_oracle_partial_trace():
     p, wa, wb = default_params(alpha_sq=4.0, beta_sq=4.0)
     t = 150.0
-    rho = reduced_qubit_density(evolve_state(BALANCED, p, wa, wb, t))
+    rho = reduced_qubit_density(evolve(vibrating_subsystem(p, wa, wb), BALANCED, t))
     psi = oracle_state(BALANCED, p, wa, wb, t)
     rho_oracle = oracle_reduced_density(psi, wa.n_max + 2, wb.n_max + 2)
     assert np.max(np.abs(rho - rho_oracle)) < 1e-9
@@ -242,7 +241,7 @@ def test_reduced_density_matches_oracle_partial_trace():
 def test_reduced_density_invariants():
     p, wa, wb = default_params(alpha_sq=3.0, beta_sq=2.0)
     for t in np.linspace(0.0, 2000.0, 9):
-        rho = reduced_qubit_density(evolve_state(BALANCED, p, wa, wb, float(t)))
+        rho = reduced_qubit_density(evolve(vibrating_subsystem(p, wa, wb), BALANCED, float(t)))
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
@@ -255,7 +254,7 @@ def test_stationary_excited_vacuum_is_rabi():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 0.3, 2.0):
-        rho = reduced_qubit_density(stationary_evolve(EXCITED, p, w, t))
+        rho = reduced_qubit_density(evolve(stationary_subsystem(p, w), EXCITED, t))
         expected = math.cos(p.kappa * t) ** 2
         assert rho[0, 0].real == pytest.approx(expected, abs=1e-12)
 
@@ -263,8 +262,8 @@ def test_stationary_excited_vacuum_is_rabi():
 def test_stationary_ground_vacuum_is_dark():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    s = stationary_evolve(GROUND, p, w, 5.0)
-    assert s.g_branch[0, 0] == pytest.approx(1.0)
+    s = evolve(stationary_subsystem(p, w), GROUND, 5.0)
+    assert s.g_branch[0] == pytest.approx(1.0)
     assert np.max(np.abs(s.e_branch)) == 0.0
 
 
@@ -284,15 +283,15 @@ def test_stationary_against_jaynes_cummings_oracle():
 
     for t in (1.0, 7.5, 30.0):
         exact = expm_multiply((-1j * t) * h, psi0)
-        s = stationary_evolve(EXCITED, p, wb, t)
-        analytic = np.concatenate([s.e_branch[0], s.g_branch[0]])
+        s = evolve(stationary_subsystem(p, wb), EXCITED, t)
+        analytic = np.concatenate([s.e_branch, s.g_branch])
         assert fidelity(analytic, exact) >= 1.0 - 1e-10
 
 
 def test_stationary_couples_at_kappa():
     p = ModeParams(kappa=2.5, alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    rho = reduced_qubit_density(stationary_evolve(EXCITED, p, w, 0.4))
+    rho = reduced_qubit_density(evolve(stationary_subsystem(p, w), EXCITED, 0.4))
     assert rho[0, 0].real == pytest.approx(math.cos(2.5 * 0.4) ** 2, abs=1e-12)
 
 
@@ -318,7 +317,7 @@ def test_map_agrees_with_direct_evolution():
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
             q0 = QubitAmplitudes(v[0], v[1])
-            direct = reduced_qubit_density(evolve_state(q0, p, wa, wb, t))
+            direct = reduced_qubit_density(evolve(vibrating_subsystem(p, wa, wb), q0, t))
             via_map = m.apply(np.outer(v, v.conj()))
             assert np.max(np.abs(direct - via_map)) < 1e-9
 
@@ -387,3 +386,12 @@ def test_qubit_amplitudes_must_be_normalized():
 def test_negative_coupling_rejected():
     with pytest.raises(ParameterError):
         ModeParams(kappa=-1.0)
+
+
+def test_magnitudes_must_be_finite_and_non_negative():
+    # inf would also pass the weights' consistency check, since inf > inf is False
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            ModeParams(alpha_mag=bad)
+        with pytest.raises(ParameterError):
+            ModeParams(beta_mag=bad)

@@ -12,10 +12,11 @@ from vibqubit import (
     QubitAmplitudes,
     choose_truncation,
     coherent_amplitudes,
-    evolve_state,
+    evolve,
     l1_coherence,
     mode_moments,
     reduced_qubit_density,
+    vibrating_subsystem,
 )
 from vibqubit.oracle import build_red_sideband, coherent_product_state, evolve_exact
 
@@ -58,9 +59,10 @@ def test_l1_rejects_bad_input():
 def test_l1_tracks_evolved_qubit():
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
-    zeta0 = l1_coherence(reduced_qubit_density(evolve_state(BALANCED, p, w, w, 0.0)))
+    sub = vibrating_subsystem(p, w, w)
+    zeta0 = l1_coherence(reduced_qubit_density(evolve(sub, BALANCED, 0.0)))
     assert zeta0 == pytest.approx(1.0, abs=1e-12)
-    zeta_exc = l1_coherence(reduced_qubit_density(evolve_state(EXCITED, p, w, w, 0.0)))
+    zeta_exc = l1_coherence(reduced_qubit_density(evolve(sub, EXCITED, 0.0)))
     assert zeta_exc == pytest.approx(0.0, abs=1e-12)
 
 
@@ -73,7 +75,7 @@ def test_cross_correlation_vanishes_at_time_zero():
         p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
         wa = coherent_amplitudes(p.alpha_mag, choose_truncation(a_sq, 1e-12))
         wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, 1e-12))
-        sample = mode_moments(evolve_state(BALANCED, p, wa, wb, 0.0))
+        sample = mode_moments(evolve(vibrating_subsystem(p, wa, wb), BALANCED, 0.0))
         assert abs(sample.cross_corr) < 1e-12
         # truncated <n> sits below the exact mean by about n_max * tail
         assert sample.n_a_mean == pytest.approx(a_sq, abs=1e-9)
@@ -87,7 +89,7 @@ def test_vacuum_rabi_moments_closed_form():
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 11.0, 47.0):
         s = math.sin(p.rabi_rate * t) ** 2
-        sample = mode_moments(evolve_state(EXCITED, p, w, w, t))
+        sample = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, t))
         assert sample.n_a_mean == pytest.approx(s, abs=1e-12)
         assert sample.n_b_mean == pytest.approx(s, abs=1e-12)
         assert sample.joint_mean == pytest.approx(s, abs=1e-12)
@@ -99,7 +101,7 @@ def test_moments_match_oracle_operator_averages():
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
     t = 150.0
-    sample = mode_moments(evolve_state(BALANCED, p, w, w, t))
+    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, t))
 
     h = build_red_sideband(p, w.n_max + 1, w.n_max + 1)
     psi = evolve_exact(coherent_product_state(BALANCED, w, w, w.n_max + 1, w.n_max + 1), h, t)
@@ -117,16 +119,16 @@ def test_moments_match_oracle_operator_averages():
 def test_g2_undefined_for_empty_modes():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    sample = mode_moments(evolve_state(EXCITED, p, w, w, 0.0))
+    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 0.0))
     assert sample.g2 is None
-    populated = mode_moments(evolve_state(EXCITED, p, w, w, 10.0))
+    populated = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 10.0))
     assert populated.g2 is not None
 
 
 def test_g2_of_product_coherent_state_is_one():
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
-    sample = mode_moments(evolve_state(BALANCED, p, w, w, 0.0))
+    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, 0.0))
     assert sample.g2 == pytest.approx(1.0, abs=1e-11)
 
 
@@ -135,7 +137,7 @@ def test_g2_of_product_coherent_state_is_one():
 def test_moment_bounds(t):
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
-    sample = mode_moments(evolve_state(BALANCED, p, w, w, t))
+    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, t))
     assert 0.0 <= sample.n_a_mean <= w.n_max + 1
     assert 0.0 <= sample.n_b_mean <= w.n_max + 1
     assert sample.joint_mean >= 0.0

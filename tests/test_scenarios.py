@@ -9,10 +9,8 @@ from vibqubit.scenarios import (
     ALL_MODES,
     Scenario,
     emit_plot_script,
-    read_csv_header,
     render_csv,
     run_scenario,
-    stationary_variant,
     write_csv,
 )
 
@@ -77,8 +75,9 @@ def test_g2_column_is_nan_when_undefined():
 
 def chunked(mode):
     """A scenario whose default chunks each hold many times."""
+    amplitudes = {} if mode.endswith("-excited") else {"c_e": 0.6, "c_g": 0.8j}
     return Scenario(mode=mode, alpha_sq=1.0, beta_sq=4.0, n_steps=301, t_max=900.0,
-                    c_e=0.6, c_g=0.8j)
+                    **amplitudes)
 
 
 def test_rows_identical_across_chunk_lengths(monkeypatch):
@@ -104,15 +103,29 @@ def test_scenario_validation():
         Scenario(mode="tqc", bell_kind="chi")
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", alpha_sq=-1.0)
-    with pytest.raises(ParameterError):
-        Scenario(mode="single-coherence", c_e=1.0, c_g=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            Scenario(mode="stationary-concurrence", alpha_sq=bad)
+        with pytest.raises(ParameterError):
+            Scenario(mode="tqc", beta_sq=bad)
+    for mode in ("single-coherence", "concurrence"):
+        with pytest.raises(ParameterError):
+            Scenario(mode=mode, c_e=1.0, c_g=1.0)
+        with pytest.raises(ParameterError):
+            Scenario(mode=mode, c_e=math.nan, c_g=0.0)
 
 
-def test_stationary_variant_mapping():
-    assert stationary_variant("single-coherence") == "stationary-single-coherence"
-    assert stationary_variant("stationary-tqc") == "stationary-tqc"
+def test_initial_state_follows_the_mode():
+    balanced = Scenario(mode="single-coherence")
+    assert (balanced.c_e, balanced.c_g) == (HALF, HALF)
+    for mode in ("single-coherence-excited", "stationary-single-coherence-excited"):
+        excited = Scenario(mode=mode)
+        assert (excited.c_e, excited.c_g) == (1.0, 0.0)
+        assert Scenario(mode=mode, c_e=1.0, c_g=0.0) == excited
+        with pytest.raises(ParameterError):
+            Scenario(mode=mode, c_e=0.6, c_g=0.8)
     with pytest.raises(ParameterError):
-        stationary_variant("mode-correlation")
+        Scenario(mode="single-coherence", c_g=1.0)
 
 
 def test_upsilon_complements_mu():
@@ -138,11 +151,11 @@ def test_csv_identical_across_chunk_lengths(monkeypatch):
         assert render_csv(s, run_scenario(s)) == default[mode], mode
 
 
-def test_csv_metadata_carries_full_parameter_set(tmp_path):
+def test_csv_metadata_carries_full_parameter_set(tmp_path, read_csv):
     s = small("tqc", alpha_sq=2.0, beta_sq=3.0, mu=0.6)
     path = tmp_path / "out.csv"
     write_csv(s, run_scenario(s), str(path))
-    metadata, columns = read_csv_header(str(path))
+    metadata, columns, _ = read_csv(path)
     assert metadata["mode"] == "tqc"
     assert float(metadata["alpha_sq"]) == 2.0
     assert float(metadata["beta_sq"]) == 3.0
@@ -178,37 +191,16 @@ def test_columns_per_mode():
     assert Scenario(mode="concurrence").columns() == ("t", "eta_kappa_t", "value")
 
 
-def test_read_csv_header_errors(tmp_path):
-    with pytest.raises(ParameterError):
-        read_csv_header(str(tmp_path / "missing.csv"))
-    empty = tmp_path / "empty.csv"
-    empty.write_text("# mode = tqc\n")
-    with pytest.raises(ParameterError):
-        read_csv_header(str(empty))
-
-
 # ------------------------------------------------------------------ plot script
 
 
-def test_plot_script_generation(tmp_path):
+def test_plot_script_generation():
     for mode in ("single-coherence", "mode-correlation", "concurrence", "tqc"):
-        s = small(mode)
-        path = tmp_path / f"{mode}.csv"
-        write_csv(s, run_scenario(s), str(path))
-        script = emit_plot_script(str(path))
+        script = emit_plot_script(small(mode), f"{mode}.csv")
         assert "set datafile separator ','" in script
-        assert str(path) in script
+        assert f"plot '{mode}.csv' " in script
     # y-range pinned to [0, 1] for coherence and concurrence curves
     for mode in ("single-coherence", "concurrence"):
-        script = emit_plot_script(str(tmp_path / f"{mode}.csv"))
-        assert "set yrange [0:1]" in script
-    corr_script = emit_plot_script(str(tmp_path / "mode-correlation.csv"))
-    assert "using 2:6" in corr_script  # cross_corr column
-
-
-def test_plot_script_rejects_mismatched_mode(tmp_path):
-    s = small("single-coherence")
-    path = tmp_path / "zeta.csv"
-    write_csv(s, run_scenario(s), str(path))
-    with pytest.raises(ParameterError):
-        emit_plot_script(str(path), mode="mode-correlation")
+        assert "set yrange [0:1]" in emit_plot_script(small(mode), "x.csv")
+    assert "using 2:6" in emit_plot_script(small("mode-correlation"), "x.csv")  # cross_corr
+    assert "set xlabel 'kappa*t'" in emit_plot_script(small("stationary-tqc"), "x.csv")
