@@ -70,29 +70,18 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     written: list[pathlib.Path] = []
-    for mode in VIBRATING_MODES:
-        for beta_sq in args.beta_sq:
-            scenario = Scenario(
-                mode=mode,
-                alpha_sq=args.alpha_sq,
-                beta_sq=beta_sq,
-                t_max=args.t_max,
-                n_steps=args.steps,
-            )
-            csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
-            written.append(run_one(scenario, csv_path))
-
-    for mode in STATIONARY_MODES:
-        for beta_sq in args.beta_sq:
-            scenario = Scenario(
-                mode=mode,
-                alpha_sq=args.alpha_sq,
-                beta_sq=beta_sq,
-                t_max=STATIONARY_T_MAX,
-                n_steps=STATIONARY_STEPS,
-            )
-            csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
-            written.append(run_one(scenario, csv_path))
+    groups = (
+        (VIBRATING_MODES, args.t_max, args.steps),
+        (STATIONARY_MODES, STATIONARY_T_MAX, STATIONARY_STEPS),
+    )
+    for modes, t_max, steps in groups:
+        for mode in modes:
+            for beta_sq in args.beta_sq:
+                scenario = Scenario(
+                    mode=mode, alpha_sq=args.alpha_sq, beta_sq=beta_sq, t_max=t_max, n_steps=steps
+                )
+                csv_path = out_dir / f"{mode}-beta{beta_sq:g}.csv"
+                written.append(run_one(scenario, csv_path))
 
     for path in written:
         print(f"wrote {path} and {path}.gp")

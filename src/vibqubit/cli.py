@@ -14,7 +14,7 @@ import sys
 
 from .errors import ParameterError, ResourceError
 from .scenarios import ALL_MODES, Scenario, run_scenario, write_csv
-from .verify import ToleranceProfile, run_all
+from .verify import run_all
 
 
 def _complex_flag(text: str) -> complex:
@@ -51,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tail-tol", type=float, help="coherent-state truncation tail tolerance")
     run.add_argument("--out", metavar="PATH", help="output CSV path (default <mode>.csv)")
 
-    verify = sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
-    verify.add_argument("--tail-tol", type=float, default=1e-12, help="truncation tolerance profile")
+    sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
     return parser
 
 
@@ -72,8 +71,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    profile = ToleranceProfile(tail_tol=args.tail_tol)
-    results = run_all(profile)
+    results = run_all()
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

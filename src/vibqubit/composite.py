@@ -19,7 +19,6 @@ from .observables import l1_coherence
 _NORM_TOL = 1e-12
 _HERMITIAN_TOL = 1e-9
 _TRACE_TOL = 1e-9
-_TIME_MATCH_TOL = 1e-9
 
 #: sigma_y (x) sigma_y in the standard basis; real, symmetric, involutory
 _SPIN_FLIP = np.array(
@@ -53,13 +52,10 @@ class BellSpec:
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """4x4 density matrix in the standard two-qubit basis, with its time.
-
-    ``matrix`` is (T, 4, 4) when ``time`` is an array of T times.
-    """
+    """4x4 density matrix in the standard two-qubit basis, or a (T, 4, 4)
+    stack of them over T times."""
 
     matrix: np.ndarray
-    time: float | np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -71,33 +67,24 @@ def bell_state(spec: BellSpec) -> TwoQubitDensity:
         psi = np.array([0.0, spec.mu, spec.upsilon, 0.0], dtype=complex)
     else:
         psi = np.array([spec.mu, 0.0, 0.0, spec.upsilon], dtype=complex)
-    return TwoQubitDensity(matrix=np.outer(psi, psi.conj()), time=0.0)
+    return TwoQubitDensity(matrix=np.outer(psi, psi.conj()))
 
 
-def evolve_two_qubit(
-    rho0: TwoQubitDensity, m1: ProcessMatrix, m2: ProcessMatrix
-) -> TwoQubitDensity:
-    """Apply the local maps ``m1 (x) m2`` to a two-qubit density matrix.
+def evolve_two_qubit(rho0: TwoQubitDensity, m: ProcessMatrix) -> TwoQubitDensity:
+    """Apply the local map ``m (x) m`` of two identical subsystems to a
+    two-qubit density matrix.
 
     Equivalent to mapping each basis operator ``|x1><y1| (x) |x2><y2|`` to
     the tensor product of its single-qubit images, which is exactly the
     expansion of the evolved Bell-state densities into the sixteen
-    single-qubit transition terms.  Maps stacked over T times give a
+    single-qubit transition terms.  A map stacked over T times gives a
     (T, 4, 4) density.
     """
-    t1, t2 = np.asarray(m1.time), np.asarray(m2.time)
-    if t1.shape != t2.shape or np.any(
-        np.abs(t1 - t2) > _TIME_MATCH_TOL * np.maximum(1.0, np.abs(t1))
-    ):
-        raise ParameterError(
-            f"process matrices are at different times: {m1.time} vs {m2.time}"
-        )
-    lead = m1.matrix.shape[:-2]
+    lead = m.matrix.shape[:-2]
     rho4 = rho0.matrix.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
-    m1_4 = m1.matrix.reshape(lead + (2, 2, 2, 2))  # axes (i1', j1', i1, j1)
-    m2_4 = m2.matrix.reshape(lead + (2, 2, 2, 2))
-    out = np.einsum("...aceg,...bdfh,efgh->...abcd", m1_4, m2_4, rho4)
-    return TwoQubitDensity(matrix=out.reshape(lead + (4, 4)), time=m1.time)
+    m4 = m.matrix.reshape(lead + (2, 2, 2, 2))  # axes (i', j', i, j)
+    out = np.einsum("...aceg,...bdfh,efgh->...abcd", m4, m4, rho4)
+    return TwoQubitDensity(matrix=out.reshape(lead + (4, 4)))
 
 
 def _as_density(rho, *, check: bool = True) -> np.ndarray:

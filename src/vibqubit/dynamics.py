@@ -20,6 +20,8 @@ Time is a batch axis: every function that takes a time ``t`` also takes a
 axis; a scalar time is the length-1 case of the same computation.
 :func:`time_chunks` cuts a long sweep into pieces whose basis tables fit
 :data:`CHUNK_BYTES`, and every row of a sweep is the same whatever the cut.
+:func:`single_qubit_map` walks those pieces itself (its result is 16 numbers
+per time); :func:`evolve` builds every time it is given, so its callers do.
 """
 from __future__ import annotations
 
@@ -168,18 +170,17 @@ class ProcessMatrix:
 
     Built by unitary dilation over the two modes followed by a partial
     trace, so it is trace preserving and completely positive up to
-    truncation error.  ``matrix`` is 4x4, or (T, 4, 4) when ``time`` is an
+    truncation error.  ``matrix`` is 4x4, or (T, 4, 4) for a map at an
     array of T times.
     """
 
     matrix: np.ndarray
-    time: float | np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Propagate a 2x2 density matrix to ``self.time``; stacked like the map."""
+        """Propagate a 2x2 density matrix through the map; stacked like the map."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ParameterError(f"expected a 2x2 density matrix, got shape {rho.shape}")
@@ -365,11 +366,14 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> ProcessMatrix:
 
     Every mode trace is a fixed complex combination of the entries of one
     real Gram matrix of the four basis tables per time (:func:`_gram`).
+    Times go through :func:`time_chunks`; only the (T, 4, 4) result spans them all.
     """
     times = _times(t)
     k = _BASIS_BRANCHES
     # traces[u, v] = sum over the grid of branch u times conj(branch v)
-    traces = k @ _gram(_rotate_blocks(sub, times)) @ k.conj().T
+    traces = np.empty((times.size, 4, 4), dtype=complex)
+    for chunk in time_chunks(sub, times.size):
+        traces[chunk] = k @ _gram(_rotate_blocks(sub, times[chunk])) @ k.conj().T
     # branch u = 2 * (input basis state) + (output qubit level)
     matrix = traces.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4)
-    return ProcessMatrix(matrix=matrix if np.ndim(t) else matrix[0], time=times if np.ndim(t) else float(t))
+    return ProcessMatrix(matrix=matrix if np.ndim(t) else matrix[0])

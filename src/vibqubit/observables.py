@@ -31,7 +31,6 @@ class CorrelationSample:
     denominator vanishes.
     """
 
-    time: float | np.ndarray
     n_a_mean: float | np.ndarray
     n_b_mean: float | np.ndarray
     joint_mean: float | np.ndarray
@@ -97,6 +96,6 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
     g2 = np.divide(joint, denom, out=np.full_like(denom, np.nan), where=defined)
     values = (n_a, n_b, joint, joint - denom, g2)
     if lead:
-        return CorrelationSample(s.time, *values)
+        return CorrelationSample(*values)
     n_a, n_b, joint, cross, g2 = (float(v[0]) for v in values)
-    return CorrelationSample(s.time, n_a, n_b, joint, cross, g2 if defined[0] else None)
+    return CorrelationSample(n_a, n_b, joint, cross, g2 if defined[0] else None)

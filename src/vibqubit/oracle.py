@@ -239,4 +239,4 @@ def two_subsystem_oracle(
     blocks = joint.reshape(2, n_lv, n_lv, 2, n_lv, n_lv)
     qubits_first = blocks.transpose(0, 3, 1, 2, 4, 5).reshape(4, -1)
     rho = qubits_first @ qubits_first.conj().T
-    return TwoQubitDensity(matrix=rho, time=float(t))
+    return TwoQubitDensity(matrix=rho)

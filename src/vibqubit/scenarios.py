@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -58,8 +59,8 @@ def _moments_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
 
 
 def _two_qubit_density(s: Scenario, sub: Subsystem, times: np.ndarray):
-    m = single_qubit_map(sub, times)
-    return evolve_two_qubit(bell_state(BellSpec(s.bell_kind, s.mu, s.upsilon)), m, m)
+    rho0 = bell_state(BellSpec(s.bell_kind, s.mu, s.upsilon))
+    return evolve_two_qubit(rho0, single_qubit_map(sub, times))
 
 
 def _concurrence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
@@ -141,6 +142,10 @@ class Scenario:
             raise ParameterError(
                 f"unknown scenario mode {self.mode!r}; expected one of {', '.join(ALL_MODES)}"
             )
+        try:
+            operator.index(self.n_steps)
+        except TypeError:
+            raise ParameterError(f"n_steps must be an integer, got {self.n_steps!r}") from None
         if self.n_steps < 2:
             raise ParameterError(f"n_steps must be >= 2, got {self.n_steps}")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):

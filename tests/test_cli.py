@@ -116,7 +116,7 @@ def canned(name, passed):
 
 
 def test_verify_exit_zero_when_all_pass(monkeypatch, capsys):
-    monkeypatch.setattr("vibqubit.cli.run_all", lambda profile: [canned("alpha", True)])
+    monkeypatch.setattr("vibqubit.cli.run_all", lambda: [canned("alpha", True)])
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "PASS" in out and "1/1 checks passed" in out
@@ -125,27 +125,15 @@ def test_verify_exit_zero_when_all_pass(monkeypatch, capsys):
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(
         "vibqubit.cli.run_all",
-        lambda profile: [canned("alpha", True), canned("beta", False)],
+        lambda: [canned("alpha", True), canned("beta", False)],
     )
     assert run_cli("verify") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1/2 checks passed" in out
 
 
-def test_verify_passes_tail_tol_through(monkeypatch):
-    seen = {}
-
-    def fake_run_all(profile):
-        seen["tail_tol"] = profile.tail_tol
-        return [canned("alpha", True)]
-
-    monkeypatch.setattr("vibqubit.cli.run_all", fake_run_all)
-    assert run_cli("verify", "--tail-tol", "1e-6") == 0
-    assert seen["tail_tol"] == 1e-6
-
-
 def test_verify_resource_exit_code(monkeypatch, capsys):
-    def exploding(profile):
+    def exploding():
         raise ResourceError("too big", required_bytes=10**12, budget_bytes=4 << 30)
 
     monkeypatch.setattr("vibqubit.cli.run_all", exploding)

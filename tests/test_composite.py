@@ -67,7 +67,7 @@ def test_bell_spec_validation():
 def test_two_qubit_identity_at_time_zero():
     rho0 = bell_state(BellSpec("phi", HALF, HALF))
     m = vibrating_map(0.0)
-    rho = evolve_two_qubit(rho0, m, m)
+    rho = evolve_two_qubit(rho0, m)
     assert np.allclose(rho.matrix, rho0.matrix, atol=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_product_input_stays_product():
     rho0 = bell_state(BellSpec("phi", 1.0, 0.0))
     for t in (30.0, 250.0, 900.0):
         m = vibrating_map(t)
-        rho = evolve_two_qubit(rho0, m, m)
+        rho = evolve_two_qubit(rho0, m)
         assert concurrence(rho) == 0.0
 
 
@@ -84,16 +84,10 @@ def test_trace_and_hermiticity_preserved():
     rho0 = bell_state(BellSpec("psi", 0.6, 0.8))
     for t in (12.0, 340.0, 2100.0):
         m = vibrating_map(t)
-        rho = evolve_two_qubit(rho0, m, m).matrix
+        rho = evolve_two_qubit(rho0, m).matrix
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
-
-
-def test_time_mismatch_rejected():
-    rho0 = bell_state(BellSpec("phi", HALF, HALF))
-    with pytest.raises(ParameterError):
-        evolve_two_qubit(rho0, vibrating_map(1.0), vibrating_map(2.0))
 
 
 def test_two_qubit_map_matches_joint_oracle_vacuum():
@@ -103,7 +97,7 @@ def test_two_qubit_map_matches_joint_oracle_vacuum():
     rho0 = bell_state(spec)
     for t in (0.0, 40.0, 111.0):
         m = single_qubit_map(vibrating_subsystem(p, w, w), t)
-        via_map = evolve_two_qubit(rho0, m, m).matrix
+        via_map = evolve_two_qubit(rho0, m).matrix
         via_oracle = two_subsystem_oracle(spec, p, 4, t).matrix
         assert np.max(np.abs(via_map - via_oracle)) < 1e-9
 
@@ -115,7 +109,7 @@ def test_two_qubit_map_matches_joint_oracle_coherent():
     w = coherent_amplitudes(1.0, n_max)
     rho0 = bell_state(spec)
     m = single_qubit_map(vibrating_subsystem(p, w, w), 400.0)
-    via_map = evolve_two_qubit(rho0, m, m).matrix
+    via_map = evolve_two_qubit(rho0, m).matrix
     via_oracle = two_subsystem_oracle(spec, p, n_max, 400.0).matrix
     diff = via_map - via_oracle
     trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
@@ -152,7 +146,7 @@ def test_vacuum_concurrence_closed_form():
     rho0 = bell_state(spec)
     for t in (0.0, 19.0, math.pi / 4 / p.rabi_rate):
         m = single_qubit_map(vibrating_subsystem(p, w, w), t)
-        value = concurrence(evolve_two_qubit(rho0, m, m))
+        value = concurrence(evolve_two_qubit(rho0, m))
         expected = math.cos(p.rabi_rate * t) ** 2
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -163,7 +157,7 @@ def test_concurrence_matches_oracle_route():
     w = coherent_amplitudes(0.0, 4)
     t = math.pi / 4 / p.rabi_rate
     m = single_qubit_map(vibrating_subsystem(p, w, w), t)
-    via_map = concurrence(evolve_two_qubit(bell_state(spec), m, m))
+    via_map = concurrence(evolve_two_qubit(bell_state(spec), m))
     via_oracle = concurrence(two_subsystem_oracle(spec, p, 4, t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)
 
@@ -172,7 +166,7 @@ def test_concurrence_swap_invariance():
     # the dynamics is symmetric in the two identical subsystems
     spec = BellSpec("phi", 0.6, 0.8)
     m = vibrating_map(170.0)
-    rho = evolve_two_qubit(bell_state(spec), m, m).matrix
+    rho = evolve_two_qubit(bell_state(spec), m).matrix
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     assert concurrence(swap @ rho @ swap) == pytest.approx(concurrence(rho), abs=1e-12)
@@ -183,8 +177,8 @@ def _phi_psi_curves(times):
     c_phi, c_psi = [], []
     for t in times:
         m = vibrating_map(float(t))
-        c_phi.append(concurrence(evolve_two_qubit(bell_state(phi), m, m)))
-        c_psi.append(concurrence(evolve_two_qubit(bell_state(psi), m, m)))
+        c_phi.append(concurrence(evolve_two_qubit(bell_state(phi), m)))
+        c_psi.append(concurrence(evolve_two_qubit(bell_state(psi), m)))
     return np.array(c_phi), np.array(c_psi)
 
 
@@ -241,6 +235,6 @@ def test_tqc_matches_l1_of_oracle_density():
     w = coherent_amplitudes(1.0, n_max)
     t = 1.0 / p.rabi_rate
     m = single_qubit_map(vibrating_subsystem(p, w, w), t)
-    via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m, m))
+    via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m))
     via_oracle = l1_coherence(two_subsystem_oracle(spec, p, n_max, t).matrix)
     assert via_map == pytest.approx(via_oracle, abs=1e-8)

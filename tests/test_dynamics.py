@@ -12,6 +12,7 @@ from vibqubit import (
     QubitAmplitudes,
     choose_truncation,
     coherent_amplitudes,
+    dynamics,
     evolve,
     reduced_qubit_density,
     single_qubit_map,
@@ -347,6 +348,28 @@ def test_map_is_completely_positive():
     for t in (0.0, 50.0, 1000.0):
         choi = vibrating_map(p, wa, wb, t).choi()
         assert np.min(np.linalg.eigvalsh(choi)) > -1e-8
+
+
+def test_map_bounds_its_own_tables(monkeypatch):
+    # the map walks time_chunks itself: no kernel call builds tables for more
+    # times than CHUNK_BYTES holds, and the cut leaves the map unchanged
+    p, wa, wb = default_params()
+    sub = vibrating_subsystem(p, wa, wb)
+    times = np.linspace(0.0, 2500.0, 301)
+    whole = single_qubit_map(sub, times).matrix
+    sizes = []
+    rotate = dynamics._rotate_blocks
+
+    def recording(sub, times, *args, **kwargs):
+        sizes.append(times.size)
+        return rotate(sub, times, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_rotate_blocks", recording)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * 4 * sub.weights.nbytes)
+    chunked = single_qubit_map(sub, times).matrix
+    assert max(sizes) <= 7
+    assert sum(sizes) == 301
+    assert np.array_equal(chunked, whole)
 
 
 def test_map_rejects_bad_density_shape():

@@ -93,6 +93,11 @@ def test_scenario_validation():
         Scenario(mode="nonsense")
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", n_steps=1)
+    # a step count must be an integer: 2.5 used to give rows past t_max
+    for bad in (2.5, math.nan, "5"):
+        with pytest.raises(ParameterError):
+            Scenario(mode="single-coherence", n_steps=bad, t_max=10.0)
+    assert Scenario(mode="tqc", n_steps=np.int64(5)).times().size == 5
     with pytest.raises(ParameterError):
         Scenario(mode="tqc", t_max=0.0)
     with pytest.raises(ParameterError):
