@@ -5,8 +5,10 @@ Everything here deliberately avoids the closed-form algebra of
 matrix elements, states are propagated by one generic sparse matrix
 exponential (``expm_multiply``), which knows nothing of the two-level
 blocks the Hamiltonian decomposes into, and reduced densities come from
-explicit partial traces.  Agreement of this module with the analytic one
-is what the verification suite is built on.
+explicit partial traces.  A block of K states that share ``H`` is stepped
+as one vector under K copies of ``H`` on the diagonal, which never mix.
+Agreement of this module with the analytic one is what the verification
+suite is built on.
 
 Truncation convention: callers that want boundary leakage represented
 (rather than clipped) should allocate one extra Fock level beyond the grid
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from .composite import BellSpec, TwoQubitDensity
@@ -159,21 +161,26 @@ def evolve_exact_series(
 ) -> np.ndarray:
     """Propagate to every time in ``times``; returns shape (len(times), dim).
 
+    A (K, dim) block of states gives shape (len(times), K, dim): it is
+    stepped as one vector under K copies of ``h.matrix`` on the diagonal.
     Uniform grids are handed to the batched matrix-exponential stepper in
     one call, which reuses the operator-norm bookkeeping across steps.
     Only ``h.dimension`` and ``h.matrix`` are read.
     """
     state0 = np.asarray(state0, dtype=complex)
-    if state0.shape != (h.dimension,):
+    if state0.ndim not in (1, 2) or state0.size == 0 or state0.shape[-1] != h.dimension:
         raise ParameterError(
-            f"state has dimension {state0.shape}, operator expects ({h.dimension},)"
+            f"state has shape {state0.shape}, operator expects ({h.dimension},) or (K, {h.dimension})"
         )
-    if abs(np.linalg.norm(state0) - 1.0) > _STATE_NORM_TOL:
+    if not np.all(np.abs(np.linalg.norm(state0, axis=-1) - 1.0) <= _STATE_NORM_TOL):
         raise ParameterError("initial state is not normalized within 1e-12")
     times = np.asarray(times, dtype=float)
     if times.size == 0 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ParameterError("times must be non-empty, finite and >= 0")
-    return _propagate_expm(h.matrix, state0, times)
+    if state0.ndim == 1:
+        return _propagate_expm(h.matrix, state0, times)
+    block = block_diag([h.matrix] * state0.shape[0], format="csr")
+    return _propagate_expm(block, state0.reshape(-1), times).reshape(times.size, *state0.shape)
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -193,22 +200,23 @@ def two_subsystem_oracle(
     spec: BellSpec,
     p: ModeParams,
     n_max: int,
-    t: float,
+    t: float | np.ndarray,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> TwoQubitDensity:
     """Evolve two identical subsystems jointly and trace out all four modes.
 
-    Builds the global pure state (Bell-weighted superposition of the two
-    qubit branches, each tensored with coherent modes truncated at
-    ``n_max``), evolves each subsystem factor with its own matrix
-    exponential (the subsystem Hamiltonians commute), forms the joint
-    vector, and partial-traces the four modes away.  One extra Fock level
-    per mode keeps boundary leakage inside the space.
+    Builds the sideband operator once and propagates one subsystem's
+    ``|e>`` and ``|g>`` branches, tensored with coherent modes truncated at
+    ``n_max``, as one pair over the times ``t`` (the subsystem Hamiltonians
+    commute); at each time it forms the Bell-weighted joint vector and
+    partial-traces the four modes away.  One extra Fock level per mode
+    keeps boundary leakage inside the space.  A scalar ``t`` gives (4, 4),
+    an array of T times (T, 4, 4).
 
     Raises
     ------
     ResourceError
-        If the joint state vector (with workspace) would exceed
+        If one time's joint state vector (with workspace) would exceed
         ``memory_budget`` bytes; the required size is reported.
     """
     n_levels_max = n_max + 1  # one extra level beyond the populated grid
@@ -225,18 +233,20 @@ def two_subsystem_oracle(
     wa = coherent_amplitudes(p.alpha_mag, n_max)
     wb = coherent_amplitudes(p.beta_mag, n_max)
     h = build_red_sideband(p, n_levels_max, n_levels_max)
-    phi = {}
-    for label, q0 in (("e", QubitAmplitudes(1.0, 0.0)), ("g", QubitAmplitudes(0.0, 1.0))):
-        psi0 = coherent_product_state(q0, wa, wb, n_levels_max, n_levels_max)
-        phi[label] = evolve_exact(psi0, h, t)
+    basis = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))
+    psi0 = [coherent_product_state(q0, wa, wb, n_levels_max, n_levels_max) for q0 in basis]
+    times = np.asarray(t, dtype=float)
+    phi = evolve_exact_series(np.stack(psi0), h, times.reshape(-1))
+    rho = np.stack([_joint_density(spec, e, g, n_levels_max + 1) for e, g in phi])
+    return TwoQubitDensity(matrix=rho.reshape(times.shape + (4, 4)))
 
+
+def _joint_density(spec: BellSpec, e: np.ndarray, g: np.ndarray, n_lv: int) -> np.ndarray:
+    """Two-qubit density of one time's joint vector, built from the images of |e>, |g>."""
     if spec.kind == "phi":
-        joint = spec.mu * np.kron(phi["e"], phi["g"]) + spec.upsilon * np.kron(phi["g"], phi["e"])
+        joint = spec.mu * np.kron(e, g) + spec.upsilon * np.kron(g, e)
     else:
-        joint = spec.mu * np.kron(phi["e"], phi["e"]) + spec.upsilon * np.kron(phi["g"], phi["g"])
-
-    n_lv = n_levels_max + 1
+        joint = spec.mu * np.kron(e, e) + spec.upsilon * np.kron(g, g)
     blocks = joint.reshape(2, n_lv, n_lv, 2, n_lv, n_lv)
     qubits_first = blocks.transpose(0, 3, 1, 2, 4, 5).reshape(4, -1)
-    rho = qubits_first @ qubits_first.conj().T
-    return TwoQubitDensity(matrix=rho)
+    return qubits_first @ qubits_first.conj().T

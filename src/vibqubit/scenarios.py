@@ -255,8 +255,9 @@ def render_csv(s: Scenario, rows: list[tuple[float, ...]]) -> str:
     for line in _metadata_lines(s):
         buf.write(line + "\n")
     buf.write(",".join(s.columns()) + "\n")
+    template = ",".join(["%.8e"] * len(s.columns())) + "\n"  # same text as _format_value
     for row in rows:
-        buf.write(",".join(_format_value(x) for x in row) + "\n")
+        buf.write(template % tuple(row))
     return buf.getvalue()
 
 

@@ -156,6 +156,40 @@ def test_propagator_input_validation():
             evolve_exact_series(psi0, h, np.array([0.0, bad]))
 
 
+def _basis_block(k):
+    """The first ``k`` of |e>, |g>, balanced, each with |1>|1> on 16 levels."""
+    w = coherent_amplitudes(1.0, 14)
+    qubits = (EXCITED, QubitAmplitudes(0.0, 1.0), BALANCED)[:k]
+    return np.stack([coherent_product_state(q0, w, w, 15, 15) for q0 in qubits])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "times",
+    [np.linspace(0.0, 5000.0, 21), np.array([0.0, 1.0, 10.0, 100.0, 2500.0])],
+    ids=["uniform", "nonuniform"],
+)
+def test_block_of_states_matches_separate_passes(k, times):
+    h = build_red_sideband(ModeParams(), 15, 15)
+    block = _basis_block(k)
+    series = evolve_exact_series(block, h, times)
+    assert series.shape == (times.size, k, h.dimension)
+    for j in range(k):
+        single = evolve_exact_series(block[j], h, times)
+        assert np.max(np.abs(series[:, j] - single)) < 1e-13
+
+
+def test_block_input_validation():
+    h = build_red_sideband(ModeParams(), 15, 15)
+    block = _basis_block(3)
+    times = np.array([0.0, 1.0])
+    unnormalized = block.copy()
+    unnormalized[1] *= 1.0 + 1e-9
+    for bad in (unnormalized, block[:, :-1], block[None], block[:0]):
+        with pytest.raises(ParameterError):
+            evolve_exact_series(bad, h, times)
+
+
 def test_unnormalized_product_state_rejected_by_contract():
     w = coherent_amplitudes(1.0, 14)
     raw = coherent_product_state(BALANCED, w, w, normalize=False)
@@ -211,3 +245,26 @@ def test_joint_oracle_memory_budget():
         two_subsystem_oracle(spec, p, 12, 1.0, memory_budget=1024)
     assert err.value.required_bytes > err.value.budget_bytes
     assert err.value.budget_bytes == 1024
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+def test_joint_oracle_time_grid_matches_scalar_calls(kind):
+    spec = BellSpec(kind, HALF, HALF)
+    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    times = np.linspace(0.0, 1000.0, 16)
+    grid = two_subsystem_oracle(spec, p, 12, times).matrix
+    assert grid.shape == (16, 4, 4)
+    for k, t in enumerate(times):
+        scalar = two_subsystem_oracle(spec, p, 12, float(t)).matrix
+        assert scalar.shape == (4, 4)
+        assert np.max(np.abs(grid[k] - scalar)) < 1e-12
+
+
+def test_joint_oracle_time_grid_validation():
+    spec = BellSpec("phi", HALF, HALF)
+    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ParameterError):
+            two_subsystem_oracle(spec, p, 6, np.array([0.0, bad, 2.0]))
+    with pytest.raises(ResourceError):
+        two_subsystem_oracle(spec, p, 12, np.linspace(0.0, 10.0, 4), memory_budget=1024)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from vibqubit import verify
+from vibqubit import oracle, verify
 from vibqubit.verify import CheckResult, DensityAuditor
 
 
@@ -92,3 +92,27 @@ class TestRunAll:
         assert all(r.seconds >= 0.005 for r in results if "entanglement" not in r.name)
         first, second = (r for r in results if "entanglement" in r.name)
         assert first.seconds == second.seconds >= 0.004
+
+
+class TestOraclePasses:
+    """Each check steps the states that share a Hamiltonian in one pass."""
+
+    @pytest.mark.parametrize(
+        "check, passes",
+        [
+            ("oracle_equivalence", 16),  # one per intensity pair
+            ("two_qubit_map", 4),  # one per (kind, intensity)
+        ],
+    )
+    def test_expm_pass_count(self, monkeypatch, check, passes):
+        calls = []
+        propagate = oracle._propagate_expm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_propagate_expm", counted)
+        result = getattr(verify, f"check_{check}")(DensityAuditor())
+        assert result.passed, result.line()
+        assert len(calls) == passes
