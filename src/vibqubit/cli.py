@@ -14,7 +14,6 @@ import sys
 
 from .errors import ParameterError, ResourceError
 from .scenarios import ALL_MODES, Scenario, run_scenario, write_csv
-from .verify import run_all
 
 
 def _complex_flag(text: str) -> complex:
@@ -71,7 +70,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all()
+    from . import verify  # not at the top: its oracle loads scipy, which `run` never needs
+
+    results = verify.run_all()
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]

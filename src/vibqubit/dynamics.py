@@ -39,6 +39,9 @@ _NORM_TOL = 1e-12
 _AMPLITUDE_RTOL = 1e-9
 _LAMB_DICKE_MAX = 0.3
 _LAMB_DICKE_WARN = 0.1
+#: rad a rotation angle may lose to rounding (theta * eps); a phase error d
+#: costs fidelity d**2, so 1e-4 rad keeps the 1e-8 of the oracle bound
+_PHASE_TOL = 1e-4
 #: bytes the four basis tables of one chunk of a time sweep may take; the
 #: chunk length follows from the grid size
 CHUNK_BYTES = 1 << 19
@@ -297,8 +300,18 @@ def _rotate_blocks(sub: Subsystem, times: np.ndarray, unshifted_d: bool = False)
     transition that populates ``|g, k>`` starts from ``|e, k-1>``.
     ``unshifted_d=True`` uses ``w[k]`` instead, a norm-violating variant
     kept only as the falsification control of the verification suite.
+
+    A time whose largest angle would lose more than ``_PHASE_TOL`` rad to
+    rounding raises :class:`ParameterError`.
     """
     w = sub.weights
+    eps = np.finfo(float).eps
+    if sub.rate * times.max() * sub.freqs[-1] * eps > _PHASE_TOL:
+        limit = _PHASE_TOL / eps / (sub.rate * sub.freqs[-1])
+        raise ParameterError(
+            f"time {times.max():.6g} is past {limit:.6g}, beyond which the rotation "
+            f"angles lose more than {_PHASE_TOL:g} rad to double rounding"
+        )
     theta = (sub.rate * times)[:, None] * sub.freqs
     cos, sin = np.cos(theta), np.sin(theta)
     factors = (

@@ -130,16 +130,17 @@ def coherent_product_state(
 
 
 def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows of ``exp(-i H t_k) state0`` via scaling-and-squaring Taylor steps."""
+    """Rows of ``exp(-i H t_k) state0`` via scaling-and-squaring Taylor steps.
+
+    A uniform grid of two or more times is one stepper call.  Any other grid
+    is walked in order, each time stepped from the one before it (the first
+    from t = 0), so the propagated time adds up to ``times[-1]``, not to the
+    sum of the times.
+    """
     times = np.asarray(times, dtype=float)
     generator = (-1j) * matrix
-    if times.size == 1:
-        t = float(times[0])
-        if t == 0.0:
-            return state0[None, :].copy()
-        return expm_multiply(generator * t, state0)[None, :]
     steps = np.diff(times)
-    if np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+    if steps.size and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         return expm_multiply(
             generator,
             state0,
@@ -148,7 +149,13 @@ def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -
             num=times.size,
             endpoint=True,
         )
-    return np.stack([_propagate_expm(matrix, state0, np.array([t]))[0] for t in times])
+    out = np.empty((times.size, state0.size), dtype=complex)
+    state, now = state0, 0.0
+    for k, t in enumerate(times):
+        if t != now:
+            state, now = expm_multiply(generator * (t - now), state), t
+        out[k] = state
+    return out
 
 
 def evolve_exact(state0: np.ndarray, h: TruncatedOperator, t: float) -> np.ndarray:
@@ -164,7 +171,8 @@ def evolve_exact_series(
     A (K, dim) block of states gives shape (len(times), K, dim): it is
     stepped as one vector under K copies of ``h.matrix`` on the diagonal.
     Uniform grids are handed to the batched matrix-exponential stepper in
-    one call, which reuses the operator-norm bookkeeping across steps.
+    one call, which reuses the operator-norm bookkeeping across steps; any
+    other grid is stepped from each time to the next.
     Only ``h.dimension`` and ``h.matrix`` are read.
     """
     state0 = np.asarray(state0, dtype=complex)

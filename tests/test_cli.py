@@ -1,6 +1,13 @@
 """Command-line interface: flags to scenarios, exit codes, outputs."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import vibqubit
 from vibqubit.cli import main
 from vibqubit.errors import ParameterError, ResourceError
 from vibqubit.scenarios import Scenario
@@ -79,6 +86,9 @@ def test_unrepresentable_inputs_exit_two(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run_cli("run", "--mode", "single-coherence", "--t-max", "inf",
                    "--steps", "3", "--out", out) == 2
+    # theta ~ 1e298 rad: a double holds no phase there
+    assert run_cli("run", "--mode", "single-coherence", "--t-max", "1e300",
+                   "--steps", "3", "--out", out) == 2
     # exp(-alpha_sq) underflows double precision
     assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "800",
                    "--steps", "3", "--t-max", "10", "--out", out) == 2
@@ -116,7 +126,7 @@ def canned(name, passed):
 
 
 def test_verify_exit_zero_when_all_pass(monkeypatch, capsys):
-    monkeypatch.setattr("vibqubit.cli.run_all", lambda: [canned("alpha", True)])
+    monkeypatch.setattr("vibqubit.verify.run_all", lambda: [canned("alpha", True)])
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
     assert "alpha" in out and "PASS" in out and "1/1 checks passed" in out
@@ -124,7 +134,7 @@ def test_verify_exit_zero_when_all_pass(monkeypatch, capsys):
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(
-        "vibqubit.cli.run_all",
+        "vibqubit.verify.run_all",
         lambda: [canned("alpha", True), canned("beta", False)],
     )
     assert run_cli("verify") == 1
@@ -136,6 +146,73 @@ def test_verify_resource_exit_code(monkeypatch, capsys):
     def exploding():
         raise ResourceError("too big", required_bytes=10**12, budget_bytes=4 << 30)
 
-    monkeypatch.setattr("vibqubit.cli.run_all", exploding)
+    monkeypatch.setattr("vibqubit.verify.run_all", exploding)
     assert run_cli("verify") == 3
     assert "required" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ cold start
+
+SRC = str(Path(vibqubit.__file__).resolve().parents[1])
+
+#: fresh-interpreter prelude: `vibqubit.verify` loads as usual, then its
+#: run_all is swapped for one canned passing check
+STUB_SUITE = """
+import importlib.machinery, sys
+
+class StubSuite:
+    def find_spec(self, name, path, target=None):
+        if name != "vibqubit.verify":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        load = spec.loader.exec_module
+
+        def exec_module(module):
+            load(module)
+            module.run_all = lambda: [module.CheckResult("alpha", True, "x 1.0", "<= 2.0", 0.0)]
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+sys.meta_path.insert(0, StubSuite())
+"""
+
+
+def fresh_modules(tmp_path, code):
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules(names):
+    return sorted(n for n in names if n == "scipy" or n.startswith("scipy."))
+
+
+def test_run_loads_no_scipy(tmp_path):
+    names = fresh_modules(tmp_path, (
+        "from vibqubit.cli import main\n"
+        "assert main(['run', '--mode', 'single-coherence', '--steps', '21',"
+        " '--t-max', '100', '--out', 'x.csv']) == 0\n"
+    ))
+    assert (tmp_path / "x.csv").exists()
+    assert "vibqubit.cli" in names
+    assert scipy_modules(names) == []
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    names = fresh_modules(tmp_path, "import vibqubit\n")
+    assert "vibqubit" in names
+    assert scipy_modules(names) == []
+
+
+def test_verify_loads_the_suite_on_demand(tmp_path):
+    names = fresh_modules(tmp_path, STUB_SUITE + (
+        "from vibqubit.cli import main\n"
+        "assert 'vibqubit.verify' not in sys.modules\n"
+        "assert main(['verify']) == 0\n"
+    ))
+    assert {"vibqubit.verify", "vibqubit.oracle", "scipy.sparse.linalg"} <= names

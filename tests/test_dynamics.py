@@ -186,6 +186,21 @@ def test_negative_time_rejected():
                 single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
 
+def test_time_past_double_phase_rejected():
+    # theta ~ 1e298 keeps no phase: this used to return zeta = 0.1062 at t = 1e300
+    p, wa, wb = default_params()
+    for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
+        limit = dynamics._PHASE_TOL / np.finfo(float).eps / (sub.rate * sub.freqs[-1])
+        for t in (1e300, np.array([0.0, 1e300]), 1.01 * limit):
+            with pytest.raises(ParameterError, match="past"):
+                evolve(sub, BALANCED, t)
+            with pytest.raises(ParameterError, match="past"):
+                single_qubit_map(sub, t)
+        near = 0.99 * limit
+        assert abs(evolve(sub, BALANCED, near).norm_sq() - 1.0) < 1e-9
+        assert np.all(np.isfinite(single_qubit_map(sub, near).matrix))
+
+
 def test_mismatched_weights_rejected():
     p, wa, wb = default_params()
     w_wrong = coherent_amplitudes(2.0, 18)

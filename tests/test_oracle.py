@@ -12,6 +12,7 @@ from vibqubit import (
     ResourceError,
     bell_state,
     coherent_amplitudes,
+    oracle,
 )
 from vibqubit.oracle import (
     basis_index,
@@ -140,6 +141,28 @@ def test_nonuniform_time_grid():
     for k, t in enumerate(times):
         single = evolve_exact(psi0, h, float(t))
         assert np.max(np.abs(series[k] - single)) < 1e-10
+
+
+def test_nonuniform_grid_steps_from_the_previous_time(monkeypatch):
+    h = build_red_sideband(ModeParams(), 15, 15)
+    psi0 = _basis_block(3)[2]
+    times = np.linspace(2000.0, 2500.0, 11)
+    times[-1] = 2500.5
+    from_zero = np.stack([evolve_exact(psi0, h, t) for t in times])
+    # the time each call covers: its operator's largest entry over H's
+    scale = abs(h.matrix).max()
+    covered = []
+    expm_multiply = oracle.expm_multiply
+
+    def measured(a, b, **kwargs):
+        covered.append(abs(a).max() / scale)
+        return expm_multiply(a, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "expm_multiply", measured)
+    series = evolve_exact_series(psi0, h, times)
+    assert np.max(np.abs(series - from_zero)) < 1e-12
+    assert len(covered) == times.size
+    assert sum(covered) == pytest.approx(times[-1], rel=1e-12)
 
 
 def test_propagator_input_validation():
