@@ -25,6 +25,7 @@ per time); :func:`evolve` builds every time it is given, so its callers do.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Iterator
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 from .fock import CoherentAmplitudes
 
 _NORM_TOL = 1e-12
@@ -45,6 +46,9 @@ _PHASE_TOL = 1e-4
 #: bytes the four basis tables of one chunk of a time sweep may take; the
 #: chunk length follows from the grid size
 CHUNK_BYTES = 1 << 19
+#: bytes one float grid of a subsystem may take; a sweep holds about a dozen
+#: such grids (weights, block indices, one time's tables and reductions)
+GRID_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,15 @@ class GlobalState:
     Held as the real basis ``tables`` (T, 4, *grid) of :func:`_rotate_blocks`
     and the initial amplitudes ``q0``, which fix the branches; T = 1 for a
     scalar ``time``, and for an array of times every result carries a
-    leading time axis.  The grids carry whatever norm the truncated
+    leading time axis.  Grid index ``i`` of an axis is Fock level
+    ``origin + i`` of its mode.  The grids carry whatever norm the truncated
     evolution left them with; see :meth:`norm_sq`.
     """
 
     q0: QubitAmplitudes
     tables: np.ndarray
     time: float | np.ndarray
+    origin: tuple[int, ...]
 
     def __post_init__(self):
         self.tables.setflags(write=False)
@@ -189,24 +195,28 @@ class ProcessMatrix:
             raise ParameterError(f"expected a 2x2 density matrix, got shape {rho.shape}")
         return (self.matrix @ rho.reshape(4)).reshape(self.matrix.shape[:-2] + (2, 2))
 
-    def choi(self) -> np.ndarray:
-        """Choi matrix of a single map; positive semidefinite iff the map is CP."""
-        return self.matrix.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-
 
 @dataclass(frozen=True)
 class Subsystem:
     """The two-level blocks of one qubit and its modes, set up once per sweep.
 
-    ``weights`` holds the initial mode weights on an N-d grid padded by one
-    level per axis.  The block through ``|e, k>`` turns at
-    ``rate * freqs[up[k]]``, and ``down[k] = up[k-1]`` indexes the block one
-    level down (``freqs[0] = 0`` stands in below the grid).  ``freqs`` lists
-    each distinct block frequency once, so the trig runs once per distinct
-    frequency and is gathered onto the grid.
+    ``weights`` holds the initial mode weights on an N-d grid whose index
+    ``i`` is Fock level ``origin + i``, padded by one empty level past each
+    end of the weights' window (at the low end only when the window starts
+    above level 0); ``weights_up[k] = weights[k+1]`` and
+    ``weights_down[k] = weights[k-1]`` are the same grid moved by one level.
+    The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``, and
+    ``down[k] = up[k-1]`` indexes the block one level down
+    (``freqs[0] = 0`` stands in below the grid, where every weight is 0 or
+    level 0 is dark).  ``freqs`` lists each distinct block frequency once,
+    so the trig runs once per distinct frequency and is gathered onto the
+    grid.
     """
 
     weights: np.ndarray
+    weights_up: np.ndarray
+    weights_down: np.ndarray
+    origin: tuple[int, ...]
     rate: float
     freqs: np.ndarray
     up: np.ndarray
@@ -223,14 +233,40 @@ def _check_consistent(
             )
 
 
-def _padded(w: CoherentAmplitudes) -> np.ndarray:
-    return np.concatenate([w.weights, [0.0]])
+def _axis(w: CoherentAmplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Fock levels of one grid axis and the weights on them: the window of
+    ``w`` padded by one empty level above and, unless it starts at 0, below."""
+    below = 1 if w.n_min else 0
+    levels = np.arange(w.n_min - below, w.n_max + 2, dtype=float)
+    return levels, np.concatenate([[0.0] * below, w.weights, [0.0]])
 
 
-def _subsystem(w: np.ndarray, rate: float, root: np.ndarray) -> Subsystem:
+def _subsystem(rate: float, *modes: CoherentAmplitudes) -> Subsystem:
+    """Blocks ``|e, k> <-> |g, k+1>`` at ``rate * sqrt(prod(k + 1))`` over the
+    product grid of the modes' padded windows."""
+    levels, weights = zip(*(_axis(w) for w in modes))
+    size = 8 * math.prod(k.size for k in levels)
+    if size > GRID_BYTES:
+        shape = " x ".join(str(k.size) for k in levels)
+        raise ResourceError(
+            f"a Fock grid of {shape} levels needs {size} bytes per array",
+            required_bytes=size,
+            budget_bytes=GRID_BYTES,
+        )
+    w = functools.reduce(np.multiply.outer, weights)
+    root = np.sqrt(functools.reduce(np.multiply.outer, (k + 1.0 for k in levels)))
     freqs, inverse = np.unique(np.concatenate([[0.0], root.ravel()]), return_inverse=True)
     up = inverse[1:].reshape(root.shape)
-    return Subsystem(weights=w, rate=rate, freqs=freqs, up=up, down=_shift(up, -1))
+    return Subsystem(
+        weights=w,
+        weights_up=_shift(w, 1),
+        weights_down=_shift(w, -1),
+        origin=tuple(int(k[0]) for k in levels),
+        rate=rate,
+        freqs=freqs,
+        up=up,
+        down=_shift(up, -1),
+    )
 
 
 def vibrating_subsystem(
@@ -238,22 +274,22 @@ def vibrating_subsystem(
 ) -> Subsystem:
     """Blocks ``|e, m, n> <-> |g, m+1, n+1>`` at ``eta*kappa*sqrt((m+1)(n+1))``.
 
-    The grids have ``n_max + 2`` entries per axis (one level past the input
-    truncation), so the norm deficit of every evolved state equals the
-    truncation tail mass of the two coherent inputs, independent of time.
+    Each grid axis spans the input window plus one level past it at each
+    end, so the norm deficit of every evolved state equals the truncation
+    tail mass of the two coherent inputs, independent of time.
+
+    Raises :class:`ResourceError` if one grid would take more than
+    :data:`GRID_BYTES`.
     """
     _check_consistent(p, wa, wb)
-    m = np.arange(wa.n_max + 2, dtype=float)[:, None]
-    n = np.arange(wb.n_max + 2, dtype=float)[None, :]
-    w = np.outer(_padded(wa), _padded(wb))
-    return _subsystem(w, p.rabi_rate, np.sqrt((m + 1.0) * (n + 1.0)))
+    return _subsystem(p.rabi_rate, wa, wb)
 
 
 def stationary_subsystem(p: ModeParams, wb: CoherentAmplitudes) -> Subsystem:
     """Motionless-qubit baseline: Jaynes-Cummings blocks ``|e, n> <-> |g, n+1>``
     at ``kappa*sqrt(n+1)``; only the cavity mode participates."""
     _check_consistent(p, None, wb)
-    return _subsystem(_padded(wb), p.kappa, np.sqrt(np.arange(wb.n_max + 2, dtype=float) + 1.0))
+    return _subsystem(p.kappa, wb)
 
 
 def _times(t: float | np.ndarray) -> np.ndarray:
@@ -300,6 +336,7 @@ def _rotate_blocks(sub: Subsystem, times: np.ndarray, unshifted_d: bool = False)
     transition that populates ``|g, k>`` starts from ``|e, k-1>``.
     ``unshifted_d=True`` uses ``w[k]`` instead, a norm-violating variant
     kept only as the falsification control of the verification suite.
+    Both shifted weight grids come ready-made with ``sub``.
 
     A time whose largest angle would lose more than ``_PHASE_TOL`` rad to
     rounding raises :class:`ParameterError`.
@@ -316,9 +353,9 @@ def _rotate_blocks(sub: Subsystem, times: np.ndarray, unshifted_d: bool = False)
     cos, sin = np.cos(theta), np.sin(theta)
     factors = (
         (cos, sub.up, w),
-        (sin, sub.up, _shift(w, 1)),
+        (sin, sub.up, sub.weights_up),
         (cos, sub.down, w),
-        (sin, sub.down, w if unshifted_d else _shift(w, -1)),
+        (sin, sub.down, w if unshifted_d else sub.weights_down),
     )
     tables = np.empty((times.size, 4) + w.shape)
     for table, (trig, index, weight) in zip(np.moveaxis(tables, 1, 0), factors):
@@ -344,7 +381,9 @@ def evolve(
     """
     times = _times(t)
     tables = _rotate_blocks(sub, times, unshifted_d)
-    return GlobalState(q0=q0, tables=tables, time=times if np.ndim(t) else float(t))
+    return GlobalState(
+        q0=q0, tables=tables, time=times if np.ndim(t) else float(t), origin=sub.origin
+    )
 
 
 def reduced_qubit_density(s: GlobalState) -> np.ndarray:

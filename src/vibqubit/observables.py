@@ -62,9 +62,9 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     return value if rho.ndim > 2 else float(value)
 
 
-def _powers(levels: int) -> np.ndarray:
-    """Columns ``1`` and ``k`` over the Fock levels ``k < levels``."""
-    k = np.arange(levels, dtype=float)
+def _powers(levels: int, origin: int) -> np.ndarray:
+    """Columns ``1`` and ``k`` over the Fock levels ``origin <= k < origin + levels``."""
+    k = np.arange(origin, origin + levels, dtype=float)
     return np.stack([np.ones_like(k), k], axis=1)
 
 
@@ -73,7 +73,8 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
 
     Because the two number operators act on distinct modes and the state is
     pure, ``<n_a n_b>`` is a plain weighted sum over the coefficient grids;
-    no mode density matrix is ever required.  For a state at an array of
+    no mode density matrix is ever required; each grid index is weighted by
+    its absolute Fock level (``s.origin`` onward).  For a state at an array of
     times every field is an array over those times, with ``g2`` NaN where
     it is undefined.
     """
@@ -83,8 +84,9 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
     # the weights 1, m, n and m n factor over the two axes: sum over n with
     # (1, n), then over m with (1, m); each product is one matrix per time,
     # so a time's sums never depend on how many are stacked
-    by_m = prob @ _powers(prob.shape[2])
-    sums = by_m.transpose(0, 2, 1) @ _powers(prob.shape[1])
+    origin_a, origin_b = s.origin
+    by_m = prob @ _powers(prob.shape[2], origin_b)
+    sums = by_m.transpose(0, 2, 1) @ _powers(prob.shape[1], origin_a)
     total, n_a, n_b, joint = sums.reshape(-1, 4).T
     if np.any(total <= 0.0):
         raise ParameterError("cannot take moments of a zero state")

@@ -113,7 +113,9 @@ def coherent_product_state(
     """State vector of ``(c_e |e> + c_g |g>) (x) |alpha> (x) |beta>``.
 
     The target space may allocate more levels than the weights populate
-    (the extras start empty).  By default the truncated product is
+    (the extras start empty); each weight sits at its own Fock level, so a
+    window starting above level 0 leaves the levels below it empty too.
+    By default the truncated product is
     renormalized to unit norm so it satisfies the propagator contract; pass
     ``normalize=False`` to keep the raw truncation deficit.
     """
@@ -122,7 +124,7 @@ def coherent_product_state(
     if n_max_a < wa.n_max or n_max_b < wb.n_max:
         raise ParameterError("target space is smaller than the populated weight grids")
     grid = np.zeros((n_max_a + 1, n_max_b + 1))
-    grid[: wa.n_max + 1, : wb.n_max + 1] = np.outer(wa.weights, wb.weights)
+    grid[wa.n_min : wa.n_max + 1, wb.n_min : wb.n_max + 1] = np.outer(wa.weights, wb.weights)
     psi = np.concatenate([q0.c_e * grid.reshape(-1), q0.c_g * grid.reshape(-1)])
     if normalize:
         psi /= np.linalg.norm(psi)
@@ -156,11 +158,6 @@ def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -
             state, now = expm_multiply(generator * (t - now), state), t
         out[k] = state
     return out
-
-
-def evolve_exact(state0: np.ndarray, h: TruncatedOperator, t: float) -> np.ndarray:
-    """Propagate a normalized state vector to time ``t``."""
-    return evolve_exact_series(state0, h, np.array([float(t)]))[0]
 
 
 def evolve_exact_series(

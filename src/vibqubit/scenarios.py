@@ -36,7 +36,7 @@ from .dynamics import (
     vibrating_subsystem,
 )
 from .errors import ParameterError
-from .fock import choose_truncation, coherent_amplitudes
+from .fock import windowed_amplitudes
 from .observables import l1_coherence, mode_moments
 
 # The row functions name the kernels and observables they call, so those
@@ -200,16 +200,17 @@ class Scenario:
 def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
     """Evaluate every row of the scenario, in row order.
 
-    The evolution is set up once, then the time grid is evaluated chunk by
-    chunk; only the table of rows spans the whole grid.
+    The evolution is set up once, on each mode's narrowest Fock window
+    (:func:`vibqubit.fock.choose_window`), then the time grid is evaluated
+    chunk by chunk; only the table of rows spans the whole grid.
     """
     p = s.mode_params()
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(s.beta_sq, s.tail_tol))
+    wb = windowed_amplitudes(s.beta_sq, s.tail_tol)
     spec, stationary = _split(s.mode)
     if stationary:
         rate, sub = s.kappa, stationary_subsystem(p, wb)
     else:
-        wa = coherent_amplitudes(p.alpha_mag, choose_truncation(s.alpha_sq, s.tail_tol))
+        wa = windowed_amplitudes(s.alpha_sq, s.tail_tol)
         rate, sub = p.rabi_rate, vibrating_subsystem(p, wa, wb)
     times = s.times()
     table = np.empty((times.size, 2 + len(spec.columns)))

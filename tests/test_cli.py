@@ -89,9 +89,6 @@ def test_unrepresentable_inputs_exit_two(tmp_path):
     # theta ~ 1e298 rad: a double holds no phase there
     assert run_cli("run", "--mode", "single-coherence", "--t-max", "1e300",
                    "--steps", "3", "--out", out) == 2
-    # exp(-alpha_sq) underflows double precision
-    assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "800",
-                   "--steps", "3", "--t-max", "10", "--out", out) == 2
     # a NaN amplitude has no norm
     assert run_cli("run", "--mode", "single-coherence", "--ce=nan,0", "--cg=0,0",
                    "--steps", "3", "--t-max", "10", "--out", out) == 2
@@ -99,6 +96,17 @@ def test_unrepresentable_inputs_exit_two(tmp_path):
     for bad in ("nan", "inf"):
         assert run_cli("run", "--mode", "stationary-concurrence", "--alpha-sq", bad,
                        "--steps", "3", "--out", out) == 2
+
+
+def test_intensity_past_the_grid_limit_exits_three(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    # past exp(-alpha_sq)'s double-precision limit the windowed grid still runs
+    assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "800",
+                   "--steps", "3", "--t-max", "10", "--out", out) == 0
+    # about 14,000 levels per mode: 1.6 GB per grid
+    assert run_cli("run", "--mode", "single-coherence", "--alpha-sq", "1e6", "--beta-sq", "1e6",
+                   "--steps", "3", "--t-max", "10", "--out", out) == 3
+    assert "14264 x 14264 levels needs 1627693568 bytes" in capsys.readouterr().err
 
 
 def test_ce_requires_cg(tmp_path):

@@ -1,5 +1,6 @@
 """Closed-form sideband evolution against the matrix-exponential oracle."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from vibqubit import (
     stationary_subsystem,
     vibrating_subsystem,
 )
+from vibqubit.errors import ResourceError
+from vibqubit.fock import windowed_amplitudes
+from vibqubit.observables import mode_moments
 from vibqubit.oracle import (
     build_jaynes_cummings,
     build_red_sideband,
     coherent_product_state,
-    evolve_exact,
+    evolve_exact_series,
     fidelity,
 )
 
@@ -52,7 +56,7 @@ def oracle_state(q0, p, wa, wb, t):
     """
     h = build_red_sideband(p, wa.n_max + 1, wb.n_max + 1)
     psi0 = coherent_product_state(q0, wa, wb, wa.n_max + 1, wb.n_max + 1)
-    return evolve_exact(psi0, h, t)
+    return evolve_exact_series(psi0, h, [t])[0]
 
 
 def oracle_reduced_density(psi, n_levels_a, n_levels_b):
@@ -311,6 +315,112 @@ def test_stationary_couples_at_kappa():
     assert rho[0, 0].real == pytest.approx(math.cos(2.5 * 0.4) ** 2, abs=1e-12)
 
 
+# -------------------------------------------------------------- windowed grids
+# From a mean of about 27.6 the Fock window starts above level 0 (3 at 36).
+# The oracle keeps its grid from level 0, with the window's weights at
+# their own levels, so it shares no windowing with the closed form.
+
+
+def embed(branch, origin, levels):
+    """Grids of a windowed state placed at their Fock levels from level 0."""
+    full = np.zeros(branch.shape[:-len(origin)] + levels, dtype=complex)
+    window = tuple(slice(o, o + n) for o, n in zip(origin, branch.shape[-len(origin):]))
+    full[(Ellipsis,) + window] = branch
+    return full
+
+
+def trace_distance(a, b):
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def test_windowed_grid_pads_one_level_each_side():
+    p = ModeParams(alpha_mag=6.0, beta_mag=3.0)
+    wa, wb = windowed_amplitudes(36.0, 1e-12), windowed_amplitudes(9.0, 1e-12)
+    assert (wa.n_min, wb.n_min) == (3, 0)
+    sub = vibrating_subsystem(p, wa, wb)
+    assert sub.origin == (2, 0)
+    assert sub.weights.shape == (wa.n_max - wa.n_min + 3, wb.n_max + 2)
+    assert not sub.weights[[0, -1]].any() and not sub.weights[:, -1].any()
+    assert np.array_equal(sub.weights[1:-1, :-1], np.outer(wa.weights, wb.weights))
+    # every block turns at the root of its absolute levels
+    m = np.arange(2, wa.n_max + 2)[:, None]
+    n = np.arange(wb.n_max + 2)[None, :]
+    assert np.array_equal(sub.freqs[sub.up], np.sqrt((m + 1.0) * (n + 1.0)))
+
+
+def test_windowed_grid_matches_oracle_on_full_grid():
+    p = ModeParams(alpha_mag=6.0, beta_mag=6.0)
+    w = windowed_amplitudes(36.0, 1e-12)
+    assert w.n_min == 3
+    levels = (w.n_max + 2, w.n_max + 2)  # the oracle's levels 0 .. n_max + 1
+    h = build_red_sideband(p, w.n_max + 1, w.n_max + 1)
+    times = np.linspace(0.0, 400.0, 5)
+    pair = (EXCITED, BALANCED)
+    psi0 = [coherent_product_state(q0, w, w, w.n_max + 1, w.n_max + 1) for q0 in pair]
+    exact = evolve_exact_series(np.stack(psi0), h, times)  # (time, state, basis)
+    sub = vibrating_subsystem(p, w, w)
+    for j, q0 in enumerate(pair):
+        s = evolve(sub, q0, times)
+        # unitary on the padded window: the norm deficit stays the static tail
+        assert np.allclose(s.norm_sq(), (1.0 - w.tail_mass) ** 2, rtol=0.0, atol=1e-13)
+        full = np.stack([embed(s.e_branch, s.origin, levels), embed(s.g_branch, s.origin, levels)], 1)
+        rho = reduced_qubit_density(s)
+        # amplitude by amplitude too: from a balanced qubit the level below
+        # the window fills from the ground state at the window's lowest level,
+        # at about 1e-7 here, far below what the fidelity bound resolves
+        unnormalized = exact[:, j].reshape(full.shape) * (1.0 - w.tail_mass)
+        assert np.max(np.abs(full - unnormalized)) <= 1e-11
+        for k in range(times.size):
+            assert 1.0 - fidelity(full[k], exact[k, j]) <= 1e-8
+            rho_exact = oracle_reduced_density(exact[k, j], *levels)
+            assert trace_distance(rho[k] / np.trace(rho[k]).real, rho_exact) <= 1e-6
+        if q0 is BALANCED:
+            assert np.max(np.abs(full[1:, 0, w.n_min - 1])) > 1e-8
+            # the moments weight each grid index by its absolute Fock level
+            sample = mode_moments(s)
+            prob = np.sum(np.abs(exact[:, j].reshape(-1, 2, *levels)) ** 2, axis=1)
+            prob /= prob.sum(axis=(1, 2), keepdims=True)
+            m = np.arange(levels[0], dtype=float)
+            n_a = np.einsum("tmn,m->t", prob, m)
+            n_b = np.einsum("tmn,n->t", prob, m)
+            joint = np.einsum("tmn,m,n->t", prob, m, m)
+            assert np.allclose(sample.n_a_mean, n_a, rtol=1e-12, atol=0.0)
+            assert np.allclose(sample.n_b_mean, n_b, rtol=1e-12, atol=0.0)
+            assert np.allclose(sample.joint_mean, joint, rtol=1e-12, atol=0.0)
+            assert np.allclose(sample.cross_corr, joint - n_a * n_b, rtol=0.0, atol=1e-9)
+
+
+def test_windowed_stationary_matches_oracle():
+    p = ModeParams(alpha_mag=0.0, beta_mag=6.0)
+    wb = windowed_amplitudes(36.0, 1e-12)
+    levels = wb.n_max + 2
+    h = build_jaynes_cummings(p.kappa, levels - 1)
+    grid = np.zeros(levels)
+    grid[wb.n_min : wb.n_max + 1] = wb.weights
+    psi0 = np.concatenate([BALANCED.c_e * grid, BALANCED.c_g * grid]).astype(complex)
+    psi0 /= np.linalg.norm(psi0)
+    h_op = SimpleNamespace(dimension=2 * levels, matrix=h)  # all evolve_exact_series reads
+    times = np.linspace(0.0, 30.0, 7)
+    exact = evolve_exact_series(psi0, h_op, times)
+    s = evolve(stationary_subsystem(p, wb), BALANCED, times)
+    assert s.origin == (wb.n_min - 1,)
+    full = np.stack([embed(s.e_branch, s.origin, (levels,)), embed(s.g_branch, s.origin, (levels,))], 1)
+    for k in range(times.size):
+        assert 1.0 - fidelity(full[k], exact[k]) <= 1e-8
+
+
+def test_grid_past_its_byte_limit_is_refused(monkeypatch):
+    p, wa, wb = default_params(alpha_sq=4.0, beta_sq=1.0)
+    size = 8 * (wa.n_max + 2) * (wb.n_max + 2)
+    monkeypatch.setattr(dynamics, "GRID_BYTES", size)
+    vibrating_subsystem(p, wa, wb)  # exactly at the limit
+    monkeypatch.setattr(dynamics, "GRID_BYTES", size - 1)
+    with pytest.raises(ResourceError) as err:
+        vibrating_subsystem(p, wa, wb)
+    assert err.value.required_bytes == size
+    assert f"needs {size} bytes" in str(err.value)
+
+
 # -------------------------------------------------------------- process matrix
 
 
@@ -359,9 +469,11 @@ def test_map_is_trace_preserving():
 
 
 def test_map_is_completely_positive():
+    # the Choi matrix sum |i><j| (x) map(|i><j|) is positive semidefinite iff the map is CP
     p, wa, wb = default_params(alpha_sq=2.0, beta_sq=3.0)
     for t in (0.0, 50.0, 1000.0):
-        choi = vibrating_map(p, wa, wb, t).choi()
+        m = vibrating_map(p, wa, wb, t).matrix
+        choi = m.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
         assert np.min(np.linalg.eigvalsh(choi)) > -1e-8
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibqubit import ParameterError, choose_truncation, coherent_amplitudes
-from vibqubit.fock import MIN_LEVELS
+from vibqubit.fock import MIN_LEVELS, choose_window, windowed_amplitudes
+
+EPS = float(np.finfo(float).eps)
 
 
 def poisson_tail(mean: float, n_max: int) -> float:
@@ -21,6 +23,27 @@ def poisson_tail(mean: float, n_max: int) -> float:
         if log_term > -745.0:
             total += math.exp(log_term)
     return total
+
+
+def poisson_mass(mean: float, levels) -> float:
+    """Independent Poisson mass of ``levels``, term by term in log space."""
+    if mean == 0.0:
+        return float(0 in levels)
+    total = 0.0
+    for k in levels:
+        log_term = -mean + k * math.log(mean) - math.lgamma(k + 1.0)
+        if log_term > -745.0:
+            total += math.exp(log_term)
+    return total
+
+
+def window_tails(mean: float, n_min: int, n_max: int) -> float:
+    """Poisson mass below ``n_min`` plus above ``n_max``; terms past 40
+    standard deviations from the mean are below 1e-300 and left out."""
+    reach = int(40 * math.sqrt(mean)) + 400
+    return poisson_mass(mean, range(max(0, n_min - reach), n_min)) + poisson_mass(
+        mean, range(n_max + 1, n_max + reach)
+    )
 
 
 def test_vacuum_weights():
@@ -107,3 +130,67 @@ def test_chosen_truncation_keeps_norm(mag):
     w = coherent_amplitudes(mag, choose_truncation(mag * mag, 1e-12))
     assert abs(float(np.sum(w.weights**2)) - 1.0) < 1e-11
     assert 0.0 <= w.tail_mass <= 1e-11
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(min_value=0.0, max_value=708.0, allow_nan=False),
+    st.sampled_from((1e-12, 1e-9, 1e-6)),
+)
+def test_window_is_narrowest_below_tolerance(mean, tol):
+    n_min, n_max = choose_window(mean, tol)
+    slack = 4 * (n_max + 1) * EPS
+    assert 0 <= n_min and n_max - n_min >= MIN_LEVELS
+    assert window_tails(mean, n_min, n_max) <= tol + slack
+    if n_max - n_min > MIN_LEVELS:
+        # dropping one more level at either end fails
+        assert window_tails(mean, n_min + 1, n_max) >= tol - slack
+        assert window_tails(mean, n_min, n_max - 1) >= tol - slack
+    if math.exp(-mean) >= tol:
+        # level 0 alone holds too much mass: today's cut and weights, bit for bit
+        assert (n_min, n_max) == (0, choose_truncation(mean, tol))
+        w = windowed_amplitudes(mean, tol)
+        reference = coherent_amplitudes(math.sqrt(mean), n_max)
+        assert np.array_equal(w.weights, reference.weights)
+        assert w.tail_mass == reference.tail_mass
+
+
+def test_known_windows():
+    # lowest level kept goes above 0 once exp(-mean) < 1e-12, at mean 27.63
+    expected = {25.0: (0, 68), 27.6: (0, 72), 36.0: (3, 86), 66.7: (18, 132),
+                100.0: (37, 178), 150.0: (71, 244)}
+    for mean, window in expected.items():
+        assert choose_window(mean, 1e-12) == window
+
+
+def test_window_weights_sit_at_their_levels():
+    # the same weights as the full grid from level 0, at the same Fock levels
+    mean = 100.0
+    w = windowed_amplitudes(mean, 1e-12)
+    full = coherent_amplitudes(10.0, w.n_max)
+    assert (w.n_min, w.weights.size) == (37, w.n_max - 36)
+    assert np.allclose(w.weights, full.weights[w.n_min :], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mean", [708.0, 2000.0, 1e4, 1e6])
+def test_window_tail_is_honest_past_the_old_limit(mean):
+    # the log-space seed keeps the reported tail within rounding of the exact
+    # one; seeded with -x + k log x - lgamma(k + 1) as written, it read 1.3e-9 at 1e6
+    w = windowed_amplitudes(mean, 1e-12)
+    exact = window_tails(mean, w.n_min, w.n_max)
+    assert exact < 1e-12
+    assert abs(w.tail_mass - exact) <= 4 * (w.n_max + 1) * EPS
+    assert w.n_min > 0 and w.n_max > mean
+
+
+def test_window_parameter_errors():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            choose_window(bad, 1e-12)
+    for tol in (0.0, 1.0):
+        with pytest.raises(ParameterError):
+            choose_window(1.0, tol)
+    with pytest.raises(ParameterError):
+        coherent_amplitudes(1.0, 5, 6)
+    with pytest.raises(ParameterError):
+        coherent_amplitudes(1.0, 5, -1)

@@ -19,7 +19,6 @@ from vibqubit.oracle import (
     build_jaynes_cummings,
     build_red_sideband,
     coherent_product_state,
-    evolve_exact,
     evolve_exact_series,
     fidelity,
     two_subsystem_oracle,
@@ -86,6 +85,16 @@ def test_basis_index_bounds():
         basis_index(0, 6, 0, 5, 5)
 
 
+def test_product_state_places_a_window_at_its_levels():
+    wa = coherent_amplitudes(6.0, 86, 3)
+    wb = coherent_amplitudes(1.0, 14)
+    psi = coherent_product_state(EXCITED, wa, wb, 87, 15)
+    grid = psi.reshape(2, 88, 16)[0]
+    assert not grid[:3].any() and not grid[87].any()
+    expected = np.outer(wa.weights, wb.weights)
+    assert np.allclose(grid[3:87, :15], expected / np.linalg.norm(expected), rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------------------- propagators
 
 
@@ -94,7 +103,7 @@ def test_evolution_at_time_zero_is_identity():
     w = coherent_amplitudes(1.0, 14)
     h = build_red_sideband(p, 15, 15)
     psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
-    assert np.allclose(evolve_exact(psi0, h, 0.0), psi0, atol=1e-12)
+    assert np.allclose(evolve_exact_series(psi0, h, [0.0])[0], psi0, atol=1e-12)
 
 
 def test_vacuum_rabi_oscillation():
@@ -103,7 +112,7 @@ def test_vacuum_rabi_oscillation():
     h = build_red_sideband(p, 5, 5)
     psi0 = coherent_product_state(EXCITED, w, w, 5, 5)
     t = 0.7 / p.rabi_rate
-    psi = evolve_exact(psi0, h, t)
+    psi = evolve_exact_series(psi0, h, [t])[0]
     i_e = basis_index(0, 0, 0, 5, 5)
     i_g = basis_index(1, 1, 1, 5, 5)
     assert psi[i_e] == pytest.approx(math.cos(0.7), abs=1e-10)
@@ -127,7 +136,7 @@ def test_energy_is_conserved():
     psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
     e0 = np.vdot(psi0, h.matrix @ psi0).real
     for t in (10.0, 500.0, 2500.0):
-        psi = evolve_exact(psi0, h, t)
+        psi = evolve_exact_series(psi0, h, [t])[0]
         assert np.vdot(psi, h.matrix @ psi).real == pytest.approx(e0, abs=1e-10)
 
 
@@ -139,7 +148,7 @@ def test_nonuniform_time_grid():
     times = np.array([0.0, 1.0, 10.0, 100.0])
     series = evolve_exact_series(psi0, h, times)
     for k, t in enumerate(times):
-        single = evolve_exact(psi0, h, float(t))
+        single = evolve_exact_series(psi0, h, [float(t)])[0]
         assert np.max(np.abs(series[k] - single)) < 1e-10
 
 
@@ -148,7 +157,7 @@ def test_nonuniform_grid_steps_from_the_previous_time(monkeypatch):
     psi0 = _basis_block(3)[2]
     times = np.linspace(2000.0, 2500.0, 11)
     times[-1] = 2500.5
-    from_zero = np.stack([evolve_exact(psi0, h, t) for t in times])
+    from_zero = np.stack([evolve_exact_series(psi0, h, [t])[0] for t in times])
     # the time each call covers: its operator's largest entry over H's
     scale = abs(h.matrix).max()
     covered = []
@@ -171,9 +180,9 @@ def test_propagator_input_validation():
     h = build_red_sideband(p, 15, 15)
     psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
     with pytest.raises(ParameterError):
-        evolve_exact(psi0 * 2.0, h, 1.0)  # not normalized
+        evolve_exact_series(psi0 * 2.0, h, [1.0])  # not normalized
     with pytest.raises(ParameterError):
-        evolve_exact(psi0[:-1], h, 1.0)  # wrong dimension
+        evolve_exact_series(psi0[:-1], h, [1.0])  # wrong dimension
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ParameterError):
             evolve_exact_series(psi0, h, np.array([0.0, bad]))
