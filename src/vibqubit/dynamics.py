@@ -18,10 +18,12 @@ obtained by evolving the two qubit basis states and tracing out the modes.
 Time is a batch axis: every function that takes a time ``t`` also takes a
 1-d array of times and then returns results stacked along a leading time
 axis; a scalar time is the length-1 case of the same computation.
-:func:`time_chunks` cuts a long sweep into pieces whose basis tables fit
-:data:`CHUNK_BYTES`, and every row of a sweep is the same whatever the cut.
-:func:`single_qubit_map` walks those pieces itself (its result is 16 numbers
-per time); :func:`evolve` builds every time it is given, so its callers do.
+One walk, :func:`_phases`, yields the cos and sin of every block angle in
+pieces whose basis tables fit :data:`CHUNK_BYTES` (:func:`time_chunks`);
+on a uniform grid it steps the phases from one time to the next.  Every
+row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
+keeps 16 numbers per time, :func:`sweep` hands out each piece's states,
+and :func:`evolve` builds every time it is given.
 """
 from __future__ import annotations
 
@@ -46,6 +48,9 @@ _PHASE_TOL = 1e-4
 #: bytes the four basis tables of one chunk of a time sweep may take; the
 #: chunk length follows from the grid size
 CHUNK_BYTES = 1 << 19
+#: on a uniform time grid, cos and sin are taken directly at every RESEED-th
+#: time and stepped in between, at a cost of about RESEED * 8 eps of phase
+RESEED = 64
 #: bytes one float grid of a subsystem may take; a sweep holds about a dozen
 #: such grids (weights, block indices, one time's tables and reductions)
 GRID_BYTES = 1 << 26
@@ -205,8 +210,7 @@ class Subsystem:
     end of the weights' window (at the low end only when the window starts
     above level 0); ``weights_up[k] = weights[k+1]`` and
     ``weights_down[k] = weights[k-1]`` are the same grid moved by one level.
-    The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``, and
-    ``down[k] = up[k-1]`` indexes the block one level down
+    The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``
     (``freqs[0] = 0`` stands in below the grid, where every weight is 0 or
     level 0 is dark).  ``freqs`` lists each distinct block frequency once,
     so the trig runs once per distinct frequency and is gathered onto the
@@ -220,7 +224,6 @@ class Subsystem:
     rate: float
     freqs: np.ndarray
     up: np.ndarray
-    down: np.ndarray
 
 
 def _check_consistent(
@@ -265,7 +268,6 @@ def _subsystem(rate: float, *modes: CoherentAmplitudes) -> Subsystem:
         rate=rate,
         freqs=freqs,
         up=up,
-        down=_shift(up, -1),
     )
 
 
@@ -315,11 +317,14 @@ def _shift(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
-def _rotate_blocks(sub: Subsystem, times: np.ndarray, unshifted_d: bool = False) -> np.ndarray:
+def _rotate_blocks(
+    sub: Subsystem, cos: np.ndarray, sin: np.ndarray, unshifted_d: bool = False
+) -> np.ndarray:
     """Real basis tables of every block ``|e, k> <-> |g, k+1>``, shape (T, 4, *grid).
 
-    ``k+1`` steps every grid axis up by one.  With ``theta = rate*t*root``
-    the tables are
+    ``cos`` and ``sin`` (T, F) are those of ``theta = rate*t*freqs`` at each
+    time of a chunk (:func:`_phases`).  ``k+1`` steps every grid axis up by
+    one, and the tables are
 
     - ``A[k] = w[k] cos(theta[k])`` and ``B[k] = w[k+1] sin(theta[k])``;
     - ``C[k] = w[k] cos(theta[k-1])`` and ``D[k] = w[k-1] sin(theta[k-1])``,
@@ -332,35 +337,30 @@ def _rotate_blocks(sub: Subsystem, times: np.ndarray, unshifted_d: bool = False)
     so the evolution is exactly unitary on it and the norm deficit is the
     static truncation tail.
 
+    The trig is gathered onto the grid once: C and D take A's and B's, one
+    level down on every axis.
+
     The lowering term must carry the index-shifted weights ``w[k-1]``: the
     transition that populates ``|g, k>`` starts from ``|e, k-1>``.
     ``unshifted_d=True`` uses ``w[k]`` instead, a norm-violating variant
     kept only as the falsification control of the verification suite.
     Both shifted weight grids come ready-made with ``sub``.
-
-    A time whose largest angle would lose more than ``_PHASE_TOL`` rad to
-    rounding raises :class:`ParameterError`.
     """
     w = sub.weights
-    eps = np.finfo(float).eps
-    if sub.rate * times.max() * sub.freqs[-1] * eps > _PHASE_TOL:
-        limit = _PHASE_TOL / eps / (sub.rate * sub.freqs[-1])
-        raise ParameterError(
-            f"time {times.max():.6g} is past {limit:.6g}, beyond which the rotation "
-            f"angles lose more than {_PHASE_TOL:g} rad to double rounding"
-        )
-    theta = (sub.rate * times)[:, None] * sub.freqs
-    cos, sin = np.cos(theta), np.sin(theta)
-    factors = (
-        (cos, sub.up, w),
-        (sin, sub.up, sub.weights_up),
-        (cos, sub.down, w),
-        (sin, sub.down, w if unshifted_d else sub.weights_down),
-    )
-    tables = np.empty((times.size, 4) + w.shape)
-    for table, (trig, index, weight) in zip(np.moveaxis(tables, 1, 0), factors):
-        np.take(trig, index, axis=1, out=table, mode="clip")  # indices are in range
-        table *= weight
+    tables = np.empty((cos.shape[0], 4) + w.shape)
+    a, b, c, d = np.moveaxis(tables, 1, 0)
+    np.take(cos, sub.up, axis=1, out=a, mode="clip")  # indices are in range
+    np.take(sin, sub.up, axis=1, out=b, mode="clip")
+    for axis in range(1, c.ndim):  # freqs[0] = 0 below the grid
+        face = (slice(None),) * axis + (0,)
+        c[face], d[face] = 1.0, 0.0
+    rest = (slice(None),) + (slice(1, None),) * w.ndim
+    prev = (slice(None),) + (slice(None, -1),) * w.ndim
+    c[rest], d[rest] = a[prev], b[prev]
+    a *= w
+    b *= sub.weights_up
+    c *= w
+    d *= w if unshifted_d else sub.weights_down
     return tables
 
 
@@ -372,6 +372,40 @@ def time_chunks(sub: Subsystem, n_times: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_times))
 
 
+def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The walk of a sweep: cos and sin (T, F) of the block angles
+    ``theta = rate * t * freqs`` for each chunk of :func:`time_chunks`, in order.
+
+    A uniform grid (``t_i = t_0 + i h`` within ``4 eps max(t)``) takes them
+    directly at every :data:`RESEED`-th index and in between steps the phase,
+    across chunks, by ``exp(i rate h freqs)``: within about ``RESEED * 8 eps
+    + 8 theta eps`` of direct, and the same whatever the cut.  Any other grid
+    takes them directly at every time.  A time whose largest angle would lose
+    more than ``_PHASE_TOL`` rad to rounding raises :class:`ParameterError`.
+    """
+    eps = np.finfo(float).eps
+    if sub.rate * times.max() * sub.freqs[-1] * eps > _PHASE_TOL:
+        limit = _PHASE_TOL / eps / (sub.rate * sub.freqs[-1])
+        raise ParameterError(
+            f"time {times.max():.6g} is past {limit:.6g}, beyond which the rotation "
+            f"angles lose more than {_PHASE_TOL:g} rad to double rounding"
+        )
+    n, angle = times.size, sub.rate * times
+    h = (times[-1] - times[0]) / max(n - 1, 1)
+    uniform = np.max(np.abs(times - (times[0] + np.arange(n) * h))) <= 4 * eps * times.max()
+    reseed, step = (RESEED if uniform else 1), np.exp(1j * (sub.rate * h * sub.freqs))
+    for chunk in time_chunks(sub, n):
+        z = np.empty((chunk.stop - chunk.start, sub.freqs.size), dtype=complex)
+        for row, i in enumerate(range(chunk.start, chunk.stop)):
+            if i % reseed:
+                np.multiply(last, step, out=z[row])
+            else:
+                theta = angle[i] * sub.freqs
+                z.real[row], z.imag[row] = np.cos(theta), np.sin(theta)
+            last = z[row]
+        yield chunk, z.real, z.imag
+
+
 def evolve(
     sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray, unshifted_d: bool = False
 ) -> GlobalState:
@@ -380,10 +414,22 @@ def evolve(
     See :func:`_rotate_blocks` for ``unshifted_d``.
     """
     times = _times(t)
-    tables = _rotate_blocks(sub, times, unshifted_d)
+    tables = np.empty((times.size, 4) + sub.weights.shape)
+    for chunk, cos, sin in _phases(sub, times):
+        tables[chunk] = _rotate_blocks(sub, cos, sin, unshifted_d)
     return GlobalState(
         q0=q0, tables=tables, time=times if np.ndim(t) else float(t), origin=sub.origin
     )
+
+
+def sweep(
+    sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray
+) -> Iterator[tuple[slice, GlobalState]]:
+    """The states of :func:`evolve` at times ``t``, each chunk of
+    :func:`time_chunks` with its slice of ``t``, in order."""
+    times = _times(t)
+    for chunk, cos, sin in _phases(sub, times):
+        yield chunk, GlobalState(q0, _rotate_blocks(sub, cos, sin), times[chunk], sub.origin)
 
 
 def reduced_qubit_density(s: GlobalState) -> np.ndarray:
@@ -418,14 +464,15 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> ProcessMatrix:
 
     Every mode trace is a fixed complex combination of the entries of one
     real Gram matrix of the four basis tables per time (:func:`_gram`).
-    Times go through :func:`time_chunks`; only the (T, 4, 4) result spans them all.
+    Times go through the walk of :func:`_phases`; only the (T, 4, 4) result
+    spans them all.
     """
     times = _times(t)
     k = _BASIS_BRANCHES
     # traces[u, v] = sum over the grid of branch u times conj(branch v)
     traces = np.empty((times.size, 4, 4), dtype=complex)
-    for chunk in time_chunks(sub, times.size):
-        traces[chunk] = k @ _gram(_rotate_blocks(sub, times[chunk])) @ k.conj().T
+    for chunk, cos, sin in _phases(sub, times):
+        traces[chunk] = k @ _gram(_rotate_blocks(sub, cos, sin)) @ k.conj().T
     # branch u = 2 * (input basis state) + (output qubit level)
     matrix = traces.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4)
     return ProcessMatrix(matrix=matrix if np.ndim(t) else matrix[0])

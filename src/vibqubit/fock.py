@@ -96,7 +96,9 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
     ------
     ParameterError
         If ``magnitude`` is not finite / negative, or ``n_max`` < 0, or
-        ``n_min`` outside ``[0, n_max]``.
+        ``n_min`` outside ``[0, n_max]``, or, for ``n_min = 0``, if the seed
+        ``exp(-magnitude**2 / 2)`` is below the smallest normal double
+        (``magnitude**2`` past about 1416.8).
     """
     if not math.isfinite(magnitude):
         raise ParameterError(f"coherent amplitude must be finite, got {magnitude!r}")
@@ -110,6 +112,11 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
     w = np.empty(n_max - n_min + 1)
     if n_min == 0:
         w[0] = math.exp(-0.5 * magnitude * magnitude)
+        if w[0] < np.finfo(float).tiny:
+            raise ParameterError(
+                f"exp(-magnitude**2 / 2) is not a normal double at magnitude {magnitude!r}; "
+                "windowed_amplitudes seeds its window in log space instead"
+            )
     else:
         w[0] = math.exp(0.5 * _log_poisson(n_min, magnitude * magnitude)) if magnitude else 0.0
     for k in range(n_min, n_max):

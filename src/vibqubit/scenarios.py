@@ -7,9 +7,9 @@ is the one place a mode name is interpreted: the command line builds one
 from its flags, and both the CSV and the plot script of a curve are
 rendered from it.  The truncation,
 the coherent weights and the block frequencies are fixed once per
-scenario; the time grid is then evaluated in memory-bounded chunks
-(:func:`vibqubit.dynamics.time_chunks`), each chunk going through the
-kernel, the branch reductions and the observables as one batch.  Every
+scenario, and each row function takes the whole time grid: the map rows
+use the (T, 4, 4) process matrix that ``single_qubit_map`` builds chunk by
+chunk, and the moments row walks the chunks of ``dynamics.sweep``.  Every
 row is a pure function of the scenario and its time, the same whatever
 the chunk length, and the CSV writer pins the formatting so reruns are
 byte-identical.
@@ -29,10 +29,9 @@ from .dynamics import (
     ModeParams,
     QubitAmplitudes,
     Subsystem,
-    evolve,
     single_qubit_map,
     stationary_subsystem,
-    time_chunks,
+    sweep,
     vibrating_subsystem,
 )
 from .errors import ParameterError
@@ -42,8 +41,8 @@ from .observables import l1_coherence, mode_moments
 # The row functions name the kernels and observables they call, so those
 # resolve through this module's globals on every call rather than being
 # captured when the table is built: a wrapper that rebinds them here (the
-# per-layer tracer in perfbench/spans.py) sees every call.  Each takes a
-# chunk of times and returns one array per value column.
+# per-layer tracer in perfbench/spans.py) sees every call.  Each takes the
+# scenario's time grid and returns one array per value column.
 
 Columns = Sequence[np.ndarray]
 
@@ -54,8 +53,13 @@ def _coherence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
 
 
 def _moments_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
-    sample = mode_moments(evolve(sub, QubitAmplitudes(s.c_e, s.c_g), times))
-    return (sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, sample.g2)
+    columns = np.empty((5, times.size))
+    for chunk, state in sweep(sub, QubitAmplitudes(s.c_e, s.c_g), times):
+        sample = mode_moments(state)
+        columns[:, chunk] = (
+            sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, sample.g2
+        )
+    return columns
 
 
 def _two_qubit_density(s: Scenario, sub: Subsystem, times: np.ndarray):
@@ -201,8 +205,8 @@ def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
     """Evaluate every row of the scenario, in row order.
 
     The evolution is set up once, on each mode's narrowest Fock window
-    (:func:`vibqubit.fock.choose_window`), then the time grid is evaluated
-    chunk by chunk; only the table of rows spans the whole grid.
+    (:func:`vibqubit.fock.choose_window`), then the mode's row function
+    evaluates the whole time grid.
     """
     p = s.mode_params()
     wb = windowed_amplitudes(s.beta_sq, s.tail_tol)
@@ -216,8 +220,7 @@ def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
     table = np.empty((times.size, 2 + len(spec.columns)))
     table[:, 0] = times
     table[:, 1] = rate * times
-    for chunk in time_chunks(sub, times.size):
-        table[chunk, 2:] = np.column_stack(spec.row(s, sub, times[chunk]))
+    table[:, 2:] = np.column_stack(spec.row(s, sub, times))
     return list(map(tuple, table.tolist()))
 
 

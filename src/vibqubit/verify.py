@@ -36,7 +36,7 @@ from .dynamics import (
     reduced_qubit_density,
     single_qubit_map,
     stationary_subsystem,
-    time_chunks,
+    sweep,
     vibrating_subsystem,
 )
 from .fock import CoherentAmplitudes, choose_truncation, coherent_amplitudes
@@ -128,8 +128,7 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
             # one pass steps both states; exact has axes (time, state, basis)
             exact = evolve_exact_series(np.stack(psi0), h, times)
             for j, q0 in enumerate(pair):
-                for chunk in time_chunks(sub, times.size):
-                    states = evolve(sub, q0, times[chunk])
+                for chunk, states in sweep(sub, q0, times):
                     audit.record(reduced_qubit_density(states))
                     for k, e, g in zip(range(chunk.start, chunk.stop), states.e_branch, states.g_branch):
                         deficit = 1.0 - fidelity(np.concatenate([e.ravel(), g.ravel()]), exact[k, j])
@@ -328,9 +327,7 @@ def check_correlation_floor(audit: DensityAuditor) -> CheckResult:
     for label, q0 in (("balanced", _BALANCED), ("excited", _EXCITED)):
         rho = np.empty((times.size, 2, 2), dtype=complex)
         cross = np.empty(times.size)
-        # evolve builds the tables of every time it is given: walk the chunks
-        for chunk in time_chunks(sub, times.size):
-            state = evolve(sub, q0, times[chunk])
+        for chunk, state in sweep(sub, q0, times):
             rho[chunk] = reduced_qubit_density(state)
             cross[chunk] = mode_moments(state).cross_corr
         audit.record(rho[::100])

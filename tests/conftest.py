@@ -19,3 +19,11 @@ def _read_csv(path):
 @pytest.fixture
 def read_csv():
     return _read_csv
+
+
+@pytest.fixture(scope="session")
+def results():
+    """Run the whole verification suite once and index results by name, in suite order."""
+    from vibqubit.verify import run_all
+
+    return {r.name: r for r in run_all()}

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per verification check, at its stated bound.
 
-The full verification suite runs once for the module; each test then prints
+The full verification suite runs once per session (the ``results`` fixture
+of ``conftest.py``, which ``test_golden.py`` shares); each test then prints
 the corresponding check line and asserts on it, so
 ``pytest tests/test_acceptance.py -v`` yields one line per check and a
 failure pinpoints exactly which check broke.
@@ -44,7 +45,6 @@ from vibqubit import (
     upper_envelope,
 )
 from vibqubit.oracle import build_red_sideband, coherent_product_state, evolve_exact_series
-from vibqubit.verify import run_all
 
 EXPECTED_CHECKS = (
     "oracle-equivalence-single",
@@ -59,13 +59,6 @@ EXPECTED_CHECKS = (
     "stationary-revival-timing",
     "density-invariants",
 )
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Run the whole verification suite once and index results by name."""
-    checks = run_all()
-    return {r.name: r for r in checks}
 
 
 TREND_BOUND = "non-decreasing over beta_sq in {1, 2, 4} at alpha_sq = 1"

@@ -487,9 +487,9 @@ def test_map_bounds_its_own_tables(monkeypatch):
     sizes = []
     rotate = dynamics._rotate_blocks
 
-    def recording(sub, times, *args, **kwargs):
-        sizes.append(times.size)
-        return rotate(sub, times, *args, **kwargs)
+    def recording(sub, cos, *args, **kwargs):
+        sizes.append(cos.shape[0])
+        return rotate(sub, cos, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_rotate_blocks", recording)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 7 * 4 * sub.weights.nbytes)
@@ -497,6 +497,80 @@ def test_map_bounds_its_own_tables(monkeypatch):
     assert max(sizes) <= 7
     assert sum(sizes) == 301
     assert np.array_equal(chunked, whole)
+
+
+def direct_tables(sub, times):
+    """The basis tables of every time with cos and sin taken at every time and
+    gathered four times, once per table, as the kernel did before it stepped
+    phases on uniform grids."""
+    theta = (sub.rate * times)[:, None] * sub.freqs
+    cos, sin = np.cos(theta), np.sin(theta)
+    inner = (slice(1, None),) * sub.up.ndim
+    outer = (slice(None, -1),) * sub.up.ndim
+    down = np.zeros_like(sub.up)  # freqs[0] = 0 below the grid
+    down[inner] = sub.up[outer]
+    w = sub.weights
+    factors = ((cos, sub.up, w), (sin, sub.up, sub.weights_up), (cos, down, w), (sin, down, sub.weights_down))
+    return np.stack([trig[:, index] * weight for trig, index, weight in factors], axis=1)
+
+
+def walk(sub, times):
+    """The walk's cos and sin of every time, stacked."""
+    parts = list(dynamics._phases(sub, times))
+    assert [chunk for chunk, _, _ in parts] == list(dynamics.time_chunks(sub, times.size))
+    return np.concatenate([c for _, c, _ in parts]), np.concatenate([s for _, _, s in parts])
+
+
+def test_stepped_phases_stay_near_direct():
+    eps = np.finfo(float).eps
+    p = ModeParams(alpha_mag=10.0, beta_mag=10.0)
+    w = windowed_amplitudes(100.0, 1e-12)
+    wide = vibrating_subsystem(p, w, w)
+    p_b, _, wb = default_params(beta_sq=4.0)
+    stationary = stationary_subsystem(p_b, wb)
+    limit = dynamics._PHASE_TOL / eps / (stationary.rate * stationary.freqs[-1])
+    for sub, times in ((wide, np.linspace(0.0, 2500.0, 5001)), (stationary, np.linspace(0.0, 0.99 * limit, 1001))):
+        for chunk, cos, sin in dynamics._phases(sub, times):
+            theta = (sub.rate * times[chunk])[:, None] * sub.freqs
+            bound = dynamics.RESEED * 8 * eps + 8 * theta * eps
+            assert np.all(np.abs(cos - np.cos(theta)) <= bound)
+            assert np.all(np.abs(sin - np.sin(theta)) <= bound)
+            # reseeds are direct, bit for bit
+            seeds = np.arange(chunk.start, chunk.stop) % dynamics.RESEED == 0
+            assert np.array_equal(cos[seeds], np.cos(theta[seeds]))
+            assert np.array_equal(sin[seeds], np.sin(theta[seeds]))
+
+
+def test_tables_of_non_uniform_grids_are_direct():
+    p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
+    uniform = np.linspace(0.0, 900.0, 150)
+    for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
+        for times in (uniform ** 1.5 / 30.0, np.r_[uniform[:-1], 901.0], uniform[::-1] * (1 + 1e-9 * uniform[::-1])):
+            assert np.array_equal(evolve(sub, BALANCED, times).tables, direct_tables(sub, times))
+        # a uniform grid: the reseeds are the direct tables too
+        stepped = evolve(sub, BALANCED, uniform).tables
+        seeds = slice(None, None, dynamics.RESEED)
+        assert np.array_equal(stepped[seeds], direct_tables(sub, uniform[seeds]))
+        assert np.allclose(stepped, direct_tables(sub, uniform), rtol=0.0, atol=1e-12)
+
+
+def test_walk_is_the_same_whatever_the_cut(monkeypatch):
+    p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
+    times = np.linspace(0.0, 900.0, 200)
+    for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
+        whole = evolve(sub, BALANCED, times).tables
+        cos, sin = walk(sub, times)
+        process = single_qubit_map(sub, times).matrix
+        # chunks of 5 times straddle every reseed but the first
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 4 * sub.weights.nbytes)
+        assert np.array_equal(np.concatenate(walk(sub, times)), np.concatenate([cos, sin]))
+        states = list(dynamics.sweep(sub, BALANCED, times))
+        assert [chunk.stop - chunk.start for chunk, _ in states][:-1] == [5] * 39
+        assert all(np.array_equal(state.time, times[chunk]) for chunk, state in states)
+        assert np.array_equal(np.concatenate([state.tables for _, state in states]), whole)
+        assert np.array_equal(evolve(sub, BALANCED, times).tables, whole)
+        assert np.array_equal(single_qubit_map(sub, times).matrix, process)
+        monkeypatch.undo()
 
 
 def test_map_rejects_bad_density_shape():

@@ -194,3 +194,17 @@ def test_window_parameter_errors():
         coherent_amplitudes(1.0, 5, 6)
     with pytest.raises(ParameterError):
         coherent_amplitudes(1.0, 5, -1)
+
+
+def test_full_grid_seed_must_be_a_normal_double():
+    # exp(-40**2 / 2) underflows to 0: the weights used to come back all zero
+    # with tail_mass 1.0; the window of windowed_amplitudes has no such limit
+    with pytest.raises(ParameterError, match="windowed_amplitudes"):
+        coherent_amplitudes(40.0, 2000)
+    # just inside the limit the recurrence runs as before, bit for bit
+    w = coherent_amplitudes(37.0, 2000)
+    expected = [math.exp(-0.5 * 37.0 * 37.0)]
+    for k in range(2000):
+        expected.append(expected[-1] * 37.0 / math.sqrt(k + 1.0))
+    assert np.array_equal(w.weights, expected)
+    assert w.tail_mass == max(0.0, 1.0 - float(np.sum(w.weights * w.weights)))
