@@ -510,7 +510,9 @@ def direct_tables(sub, times):
     down = np.zeros_like(sub.up)  # freqs[0] = 0 below the grid
     down[inner] = sub.up[outer]
     w = sub.weights
-    factors = ((cos, sub.up, w), (sin, sub.up, sub.weights_up), (cos, down, w), (sin, down, sub.weights_down))
+    factors = (
+        (cos, sub.up, w), (sin, sub.up, sub.weights_up), (cos, down, w), (sin, down, sub.weights_down)
+    )
     return np.stack([trig[:, index] * weight for trig, index, weight in factors], axis=1)
 
 
@@ -529,7 +531,8 @@ def test_stepped_phases_stay_near_direct():
     p_b, _, wb = default_params(beta_sq=4.0)
     stationary = stationary_subsystem(p_b, wb)
     limit = dynamics._PHASE_TOL / eps / (stationary.rate * stationary.freqs[-1])
-    for sub, times in ((wide, np.linspace(0.0, 2500.0, 5001)), (stationary, np.linspace(0.0, 0.99 * limit, 1001))):
+    sweeps = ((wide, np.linspace(0.0, 2500.0, 5001)), (stationary, np.linspace(0.0, 0.99 * limit, 1001)))
+    for sub, times in sweeps:
         for chunk, cos, sin in dynamics._phases(sub, times):
             theta = (sub.rate * times[chunk])[:, None] * sub.freqs
             bound = dynamics.RESEED * 8 * eps + 8 * theta * eps
@@ -545,7 +548,8 @@ def test_tables_of_non_uniform_grids_are_direct():
     p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
     uniform = np.linspace(0.0, 900.0, 150)
     for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
-        for times in (uniform ** 1.5 / 30.0, np.r_[uniform[:-1], 901.0], uniform[::-1] * (1 + 1e-9 * uniform[::-1])):
+        # a power law, one time off the step, and a reversed grid stretched by 1e-9 t
+        for times in (uniform**1.5 / 30.0, np.r_[uniform[:-1], 901.0], uniform[::-1] * (1 + 1e-9 * uniform[::-1])):
             assert np.array_equal(evolve(sub, BALANCED, times).tables, direct_tables(sub, times))
         # a uniform grid: the reseeds are the direct tables too
         stepped = evolve(sub, BALANCED, uniform).tables
