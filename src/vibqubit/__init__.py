@@ -7,7 +7,6 @@ oracle for cross-validation, and a CLI that sweeps the dynamics to CSV.
 """
 from .composite import (
     BellSpec,
-    TwoQubitDensity,
     bell_state,
     concurrence,
     evolve_two_qubit,
@@ -17,9 +16,9 @@ from .curves import Envelope, revival_peak, upper_envelope
 from .dynamics import (
     GlobalState,
     ModeParams,
-    ProcessMatrix,
     QubitAmplitudes,
     Subsystem,
+    apply_map,
     evolve,
     reduced_qubit_density,
     single_qubit_map,
@@ -48,14 +47,13 @@ __all__ = [
     "GlobalState",
     "ModeParams",
     "ParameterError",
-    "ProcessMatrix",
     "QubitAmplitudes",
     "ResourceError",
     "STATIONARY_MODES",
     "Scenario",
     "Subsystem",
-    "TwoQubitDensity",
     "VIBRATING_MODES",
+    "apply_map",
     "bell_state",
     "choose_truncation",
     "coherent_amplitudes",

@@ -4,7 +4,7 @@ The two-qubit basis ordering is ``|1> = |e1 e2|, |2> = |e1 g2>,
 |3> = |g1 e2>, |4> = |g1 g2>`` (row-major qubit-1 (x) qubit-2).  Because
 the qubits never interact, the composite evolution is the tensor product
 of each subsystem's single-qubit process matrix, which preserves product
-structure and trace exactly.
+structure and trace exactly.  Densities are plain arrays, 4x4 or (T, 4, 4).
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ProcessMatrix
 from .errors import ParameterError
 from .observables import l1_coherence
 
@@ -50,28 +49,18 @@ class BellSpec:
             raise ParameterError(f"Bell amplitudes are not normalized: |c|^2 = {norm_sq!r}")
 
 
-@dataclass(frozen=True)
-class TwoQubitDensity:
-    """4x4 density matrix in the standard two-qubit basis, or a (T, 4, 4)
-    stack of them over T times."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def bell_state(spec: BellSpec) -> TwoQubitDensity:
+def bell_state(spec: BellSpec) -> np.ndarray:
     """Pure-state density matrix of the requested Bell-like state at t = 0."""
     if spec.kind == "phi":
         psi = np.array([0.0, spec.mu, spec.upsilon, 0.0], dtype=complex)
     else:
         psi = np.array([spec.mu, 0.0, 0.0, spec.upsilon], dtype=complex)
-    return TwoQubitDensity(matrix=np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
-def evolve_two_qubit(rho0: TwoQubitDensity, m: ProcessMatrix) -> TwoQubitDensity:
-    """Apply the local map ``m (x) m`` of two identical subsystems to a
+def evolve_two_qubit(rho0: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Apply the local map ``m (x) m`` of two identical subsystems, each the
+    process matrix of :func:`~vibqubit.dynamics.single_qubit_map`, to a
     two-qubit density matrix.
 
     Equivalent to mapping each basis operator ``|x1><y1| (x) |x2><y2|`` to
@@ -80,15 +69,15 @@ def evolve_two_qubit(rho0: TwoQubitDensity, m: ProcessMatrix) -> TwoQubitDensity
     single-qubit transition terms.  A map stacked over T times gives a
     (T, 4, 4) density.
     """
-    lead = m.matrix.shape[:-2]
-    rho4 = rho0.matrix.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
-    m4 = m.matrix.reshape(lead + (2, 2, 2, 2))  # axes (i', j', i, j)
+    lead = m.shape[:-2]
+    rho4 = rho0.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
+    m4 = m.reshape(lead + (2, 2, 2, 2))  # axes (i', j', i, j)
     out = np.einsum("...aceg,...bdfh,efgh->...abcd", m4, m4, rho4)
-    return TwoQubitDensity(matrix=out.reshape(lead + (4, 4)))
+    return out.reshape(lead + (4, 4))
 
 
 def _as_density(rho, *, check: bool = True) -> np.ndarray:
-    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 density matrix or a stack of them, got shape {mat.shape}")
     if check:
@@ -112,9 +101,8 @@ def concurrence(rho) -> float | np.ndarray:
 
     ``rho @ rho_tilde`` is similar to a positive semidefinite matrix, so
     its eigenvalues are real and non-negative up to rounding; tiny negative
-    real parts are clamped to zero before the square roots.  Accepts a bare
-    4x4 array or a :class:`TwoQubitDensity`, or a (T, 4, 4) stack of
-    densities, for which it returns the T values.
+    real parts are clamped to zero before the square roots.  Accepts a 4x4
+    array or a (T, 4, 4) stack, for which it returns the T values.
     """
     mat = _as_density(rho)
     rho_tilde = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP

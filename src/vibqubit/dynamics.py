@@ -14,13 +14,14 @@ Also provided here: the stationary-qubit baseline (resonant single-mode
 Jaynes-Cummings evolution with the vibrational mode removed) and the 4x4
 process matrix that propagates an arbitrary initial qubit density matrix,
 obtained by evolving the two qubit basis states and tracing out the modes.
+The map is a plain array, applied to a density by :func:`apply_map`.
 
 Time is a batch axis: every function that takes a time ``t`` also takes a
 1-d array of times and then returns results stacked along a leading time
 axis; a scalar time is the length-1 case of the same computation.
 One walk, :func:`_phases`, yields the cos and sin of every block angle in
-pieces whose basis tables fit :data:`CHUNK_BYTES` (:func:`time_chunks`);
-on a uniform grid it steps the phases from one time to the next.  Every
+pieces whose basis tables fit :data:`CHUNK_BYTES`; on a uniform grid it
+steps the phases from one time to the next.  Every
 row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
 keeps 16 numbers per time, :func:`sweep` hands out each piece's states,
 and :func:`evolve` builds every time it is given.
@@ -130,7 +131,7 @@ class GlobalState:
     scalar ``time``, and for an array of times every result carries a
     leading time axis.  Grid index ``i`` of an axis is Fock level
     ``origin + i`` of its mode.  The grids carry whatever norm the truncated
-    evolution left them with; see :meth:`norm_sq`.
+    evolution left them with: the trace of :func:`reduced_qubit_density`.
     """
 
     q0: QubitAmplitudes
@@ -171,34 +172,6 @@ class GlobalState:
         prob = abs(c_e) ** 2 * (a * a + d * d) + abs(c_g) ** 2 * (b * b + c * c)
         prob -= cross * (a * b - c * d)
         return self._per_time(prob)
-
-    def norm_sq(self) -> float | np.ndarray:
-        """Total probability on the grid (1 minus truncation losses), per time."""
-        total = np.trace(reduced_qubit_density(self), axis1=-2, axis2=-1).real
-        return total if np.ndim(self.time) else float(total)
-
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Linear map on vectorized 2x2 qubit densities, ordering (ee, eg, ge, gg).
-
-    Built by unitary dilation over the two modes followed by a partial
-    trace, so it is trace preserving and completely positive up to
-    truncation error.  ``matrix`` is 4x4, or (T, 4, 4) for a map at an
-    array of T times.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Propagate a 2x2 density matrix through the map; stacked like the map."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ParameterError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-        return (self.matrix @ rho.reshape(4)).reshape(self.matrix.shape[:-2] + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -317,9 +290,7 @@ def _shift(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
-def _rotate_blocks(
-    sub: Subsystem, cos: np.ndarray, sin: np.ndarray, unshifted_d: bool = False
-) -> np.ndarray:
+def _rotate_blocks(sub: Subsystem, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Real basis tables of every block ``|e, k> <-> |g, k+1>``, shape (T, 4, *grid).
 
     ``cos`` and ``sin`` (T, F) are those of ``theta = rate*t*freqs`` at each
@@ -341,10 +312,10 @@ def _rotate_blocks(
     level down on every axis.
 
     The lowering term must carry the index-shifted weights ``w[k-1]``: the
-    transition that populates ``|g, k>`` starts from ``|e, k-1>``.
-    ``unshifted_d=True`` uses ``w[k]`` instead, a norm-violating variant
-    kept only as the falsification control of the verification suite.
-    Both shifted weight grids come ready-made with ``sub``.
+    transition that populates ``|g, k>`` starts from ``|e, k-1>``.  Both
+    shifted weight grids come ready-made with ``sub``, so a subsystem whose
+    ``weights_down`` is ``weights`` itself runs the norm-violating unshifted
+    variant (the falsification control of the verification suite).
     """
     w = sub.weights
     tables = np.empty((cos.shape[0], 4) + w.shape)
@@ -360,21 +331,14 @@ def _rotate_blocks(
     a *= w
     b *= sub.weights_up
     c *= w
-    d *= w if unshifted_d else sub.weights_down
+    d *= sub.weights_down
     return tables
-
-
-def time_chunks(sub: Subsystem, n_times: int) -> Iterator[slice]:
-    """Consecutive slices of a sweep over ``n_times`` times whose basis
-    tables fit :data:`CHUNK_BYTES` (at least one time per slice)."""
-    step = max(1, CHUNK_BYTES // (4 * sub.weights.nbytes))
-    for start in range(0, n_times, step):
-        yield slice(start, min(start + step, n_times))
 
 
 def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The walk of a sweep: cos and sin (T, F) of the block angles
-    ``theta = rate * t * freqs`` for each chunk of :func:`time_chunks`, in order.
+    ``theta = rate * t * freqs`` for each chunk, in order: a slice of at
+    least one time whose basis tables fit :data:`CHUNK_BYTES`.
 
     A uniform grid (``t_i = t_0 + i h`` within ``4 eps max(t)``) takes them
     directly at every :data:`RESEED`-th index and in between steps the phase,
@@ -394,7 +358,9 @@ def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarr
     h = (times[-1] - times[0]) / max(n - 1, 1)
     uniform = np.max(np.abs(times - (times[0] + np.arange(n) * h))) <= 4 * eps * times.max()
     reseed, step = (RESEED if uniform else 1), np.exp(1j * (sub.rate * h * sub.freqs))
-    for chunk in time_chunks(sub, n):
+    length = max(1, CHUNK_BYTES // (4 * sub.weights.nbytes))
+    for start in range(0, n, length):
+        chunk = slice(start, min(start + length, n))
         z = np.empty((chunk.stop - chunk.start, sub.freqs.size), dtype=complex)
         for row, i in enumerate(range(chunk.start, chunk.stop)):
             if i % reseed:
@@ -406,17 +372,12 @@ def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarr
         yield chunk, z.real, z.imag
 
 
-def evolve(
-    sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray, unshifted_d: bool = False
-) -> GlobalState:
-    """Closed-form evolution of ``q0`` times the coherent modes to time(s) ``t``.
-
-    See :func:`_rotate_blocks` for ``unshifted_d``.
-    """
+def evolve(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> GlobalState:
+    """Closed-form evolution of ``q0`` times the coherent modes to time(s) ``t``."""
     times = _times(t)
     tables = np.empty((times.size, 4) + sub.weights.shape)
     for chunk, cos, sin in _phases(sub, times):
-        tables[chunk] = _rotate_blocks(sub, cos, sin, unshifted_d)
+        tables[chunk] = _rotate_blocks(sub, cos, sin)
     return GlobalState(
         q0=q0, tables=tables, time=times if np.ndim(t) else float(t), origin=sub.origin
     )
@@ -426,7 +387,7 @@ def sweep(
     sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray
 ) -> Iterator[tuple[slice, GlobalState]]:
     """The states of :func:`evolve` at times ``t``, each chunk of
-    :func:`time_chunks` with its slice of ``t``, in order."""
+    :func:`_phases` with its slice of ``t``, in order."""
     times = _times(t)
     for chunk, cos, sin in _phases(sub, times):
         yield chunk, GlobalState(q0, _rotate_blocks(sub, cos, sin), times[chunk], sub.origin)
@@ -450,17 +411,19 @@ _BASIS_BRANCHES = np.concatenate(
 )
 
 
-def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> ProcessMatrix:
-    """Process matrix of the qubit channel at time(s) ``t``.
+def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
+    """Process matrix of the qubit channel at time(s) ``t``, 4x4 or (T, 4, 4).
 
-    ``sub`` is the subsystem, e.g. ``vibrating_subsystem(p, wa, wb)`` or
-    ``stationary_subsystem(p, wb)``.  The two qubit basis states are evolved
-    through the full dilation and the modes traced out; the columns of the
-    returned matrix are the vectorized images of
-    ``|e><e|, |e><g|, |g><e|, |g><g|``.  This is a genuine linear map on
-    density matrices: multiplying summed-over-grid 2x2 operators on both
-    sides instead would generate cross terms between distinct grid points
-    and fail to reproduce the reduced density.
+    It acts on vectorized 2x2 qubit densities, ordering (ee, eg, ge, gg),
+    through :func:`apply_map`.  ``sub`` is the subsystem, e.g.
+    ``vibrating_subsystem(p, wa, wb)`` or ``stationary_subsystem(p, wb)``.
+    The two qubit basis states are evolved through the full dilation and
+    the modes traced out, so the map is trace preserving and completely
+    positive up to truncation error; the columns of the returned matrix are
+    the vectorized images of ``|e><e|, |e><g|, |g><e|, |g><g|``.  This is a
+    genuine linear map on density matrices: multiplying summed-over-grid
+    2x2 operators on both sides instead would generate cross terms between
+    distinct grid points and fail to reproduce the reduced density.
 
     Every mode trace is a fixed complex combination of the entries of one
     real Gram matrix of the four basis tables per time (:func:`_gram`).
@@ -475,4 +438,12 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> ProcessMatrix:
         traces[chunk] = k @ _gram(_rotate_blocks(sub, cos, sin)) @ k.conj().T
     # branch u = 2 * (input basis state) + (output qubit level)
     matrix = traces.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4)
-    return ProcessMatrix(matrix=matrix if np.ndim(t) else matrix[0])
+    return matrix if np.ndim(t) else matrix[0]
+
+
+def apply_map(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Propagate a 2x2 density through the map ``m`` of :func:`single_qubit_map`, stacked like it."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ParameterError(f"expected a 2x2 density matrix, got shape {rho.shape}")
+    return (m @ rho.reshape(4)).reshape(m.shape[:-2] + (2, 2))

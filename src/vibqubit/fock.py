@@ -77,11 +77,11 @@ def _log_poisson(k: int, mean: float) -> float:
 def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> CoherentAmplitudes:
     """Generate coherent-state weights on the Fock levels ``n_min .. n_max``.
 
-    Uses the recurrence ``w[k+1] = w[k] * magnitude / sqrt(k+1)`` seeded by
-    ``w[0] = exp(-magnitude**2 / 2)``, which stays finite where the explicit
-    factorial formula would overflow.  A window above level 0 is seeded at
-    ``n_min`` in log space instead (:func:`_log_poisson`), so no weight
-    below the window is ever formed and no intensity underflows the seed.
+    Uses the recurrence ``w[k+1] = w[k] * magnitude / sqrt(k+1)``, which
+    stays finite where the explicit factorial formula would overflow.  It is
+    seeded at ``n_min`` in log space (:func:`_log_poisson`), so no weight
+    below the window is ever formed; from level 0 the seed is
+    ``exp(-magnitude**2 / 2)``.
 
     Parameters
     ----------
@@ -96,9 +96,9 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
     ------
     ParameterError
         If ``magnitude`` is not finite / negative, or ``n_max`` < 0, or
-        ``n_min`` outside ``[0, n_max]``, or, for ``n_min = 0``, if the seed
-        ``exp(-magnitude**2 / 2)`` is below the smallest normal double
-        (``magnitude**2`` past about 1416.8).
+        ``n_min`` outside ``[0, n_max]``, or if the seed weight at ``n_min``
+        is below the smallest normal double (from level 0, ``magnitude**2``
+        past about 1416.8), where the weights would silently read zero.
     """
     if not math.isfinite(magnitude):
         raise ParameterError(f"coherent amplitude must be finite, got {magnitude!r}")
@@ -110,15 +110,17 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
         raise ParameterError(f"n_min must lie in [0, n_max = {n_max}], got {n_min!r}")
 
     w = np.empty(n_max - n_min + 1)
-    if n_min == 0:
-        w[0] = math.exp(-0.5 * magnitude * magnitude)
-        if w[0] < np.finfo(float).tiny:
-            raise ParameterError(
-                f"exp(-magnitude**2 / 2) is not a normal double at magnitude {magnitude!r}; "
-                "windowed_amplitudes seeds its window in log space instead"
-            )
+    mean = magnitude * magnitude
+    if mean == 0.0:  # all the mass at level 0; _log_poisson needs mean > 0
+        w[0] = 0.0 if n_min else 1.0
     else:
-        w[0] = math.exp(0.5 * _log_poisson(n_min, magnitude * magnitude)) if magnitude else 0.0
+        w[0] = math.exp(0.5 * _log_poisson(n_min, mean))
+        # written so that a NaN seed fails too
+        if not w[0] >= np.finfo(float).tiny:
+            raise ParameterError(
+                f"the weight at level {n_min} is not a normal double at magnitude {magnitude!r}; "
+                "windowed_amplitudes seeds the window that holds the mass instead"
+            )
     for k in range(n_min, n_max):
         w[k - n_min + 1] = w[k - n_min] * magnitude / math.sqrt(k + 1.0)
     tail = max(0.0, 1.0 - float(np.sum(w * w)))

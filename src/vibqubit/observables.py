@@ -27,15 +27,15 @@ class CorrelationSample:
     ``cross_corr`` is ``<n_a n_b> - <n_a><n_b>``: positive when the
     vibrational and cavity modes are correlated, negative when
     anti-correlated.  ``g2`` is the normalized intermode second-order
-    coherence ``<n_a n_b> / (<n_a><n_b>)``, ``None`` whenever the
-    denominator vanishes.
+    coherence ``<n_a n_b> / (<n_a><n_b>)``, NaN wherever the denominator
+    vanishes.
     """
 
     n_a_mean: float | np.ndarray
     n_b_mean: float | np.ndarray
     joint_mean: float | np.ndarray
     cross_corr: float | np.ndarray
-    g2: float | np.ndarray | None
+    g2: float | np.ndarray
 
 
 def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
@@ -51,7 +51,7 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     ParameterError
         If the input is not square or not Hermitian within 1e-9.
     """
-    rho = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {rho.shape}")
     # written so that NaN entries fail too
@@ -75,7 +75,7 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
     pure, ``<n_a n_b>`` is a plain weighted sum over the coefficient grids;
     no mode density matrix is ever required; each grid index is weighted by
     its absolute Fock level (``s.origin`` onward).  For a state at an array of
-    times every field is an array over those times, with ``g2`` NaN where
+    times every field is an array over those times.  ``g2`` is NaN where
     it is undefined.
     """
     lead = np.ndim(s.time)
@@ -94,10 +94,8 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
     # and raw sums would leak that tail into the cross correlation
     n_a, n_b, joint = n_a / total, n_b / total, joint / total
     denom = n_a * n_b
-    defined = denom > G2_DENOMINATOR_FLOOR
-    g2 = np.divide(joint, denom, out=np.full_like(denom, np.nan), where=defined)
+    g2 = np.divide(joint, denom, out=np.full_like(denom, np.nan), where=denom > G2_DENOMINATOR_FLOOR)
     values = (n_a, n_b, joint, joint - denom, g2)
-    if lead:
-        return CorrelationSample(*values)
-    n_a, n_b, joint, cross, g2 = (float(v[0]) for v in values)
-    return CorrelationSample(n_a, n_b, joint, cross, g2 if defined[0] else None)
+    if not lead:
+        values = tuple(float(v[0]) for v in values)
+    return CorrelationSample(*values)

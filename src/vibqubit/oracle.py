@@ -13,7 +13,7 @@ suite is built on.
 Truncation convention: callers that want boundary leakage represented
 (rather than clipped) should allocate one extra Fock level beyond the grid
 their coherent weights populate; :func:`two_subsystem_oracle` does this
-internally.
+internally.  States and densities are plain arrays.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import block_diag, csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from .composite import BellSpec, TwoQubitDensity
+from .composite import BellSpec
 from .dynamics import ModeParams, QubitAmplitudes
 from .errors import ParameterError, ResourceError
 from .fock import CoherentAmplitudes, coherent_amplitudes
@@ -33,7 +33,8 @@ _STATE_NORM_TOL = 1e-12
 #: upper bound on transient allocations of the two-subsystem oracle,
 #: as a multiple of one joint state vector
 _JOINT_WORKSPACE_FACTOR = 4
-DEFAULT_MEMORY_BUDGET = 4 << 30
+#: bytes one time's joint state of the two-subsystem oracle may take, with workspace
+JOINT_BYTES = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,14 @@ def coherent_product_state(
     wb: CoherentAmplitudes,
     n_max_a: int | None = None,
     n_max_b: int | None = None,
-    normalize: bool = True,
 ) -> np.ndarray:
     """State vector of ``(c_e |e> + c_g |g>) (x) |alpha> (x) |beta>``.
 
     The target space may allocate more levels than the weights populate
     (the extras start empty); each weight sits at its own Fock level, so a
     window starting above level 0 leaves the levels below it empty too.
-    By default the truncated product is
-    renormalized to unit norm so it satisfies the propagator contract; pass
-    ``normalize=False`` to keep the raw truncation deficit.
+    The truncated product is renormalized to unit norm so it satisfies the
+    propagator contract.
     """
     n_max_a = wa.n_max if n_max_a is None else n_max_a
     n_max_b = wb.n_max if n_max_b is None else n_max_b
@@ -126,9 +125,7 @@ def coherent_product_state(
     grid = np.zeros((n_max_a + 1, n_max_b + 1))
     grid[wa.n_min : wa.n_max + 1, wb.n_min : wb.n_max + 1] = np.outer(wa.weights, wb.weights)
     psi = np.concatenate([q0.c_e * grid.reshape(-1), q0.c_g * grid.reshape(-1)])
-    if normalize:
-        psi /= np.linalg.norm(psi)
-    return psi
+    return psi / np.linalg.norm(psi)
 
 
 def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -202,12 +199,8 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def two_subsystem_oracle(
-    spec: BellSpec,
-    p: ModeParams,
-    n_max: int,
-    t: float | np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> TwoQubitDensity:
+    spec: BellSpec, p: ModeParams, n_max: int, t: float | np.ndarray
+) -> np.ndarray:
     """Evolve two identical subsystems jointly and trace out all four modes.
 
     Builds the sideband operator once and propagates one subsystem's
@@ -222,17 +215,17 @@ def two_subsystem_oracle(
     ------
     ResourceError
         If one time's joint state vector (with workspace) would exceed
-        ``memory_budget`` bytes; the required size is reported.
+        :data:`JOINT_BYTES`; the required size is reported.
     """
     n_levels_max = n_max + 1  # one extra level beyond the populated grid
     dim_sub = 2 * (n_levels_max + 1) ** 2
     required = 16 * dim_sub * dim_sub * _JOINT_WORKSPACE_FACTOR
-    if required > memory_budget:
+    if required > JOINT_BYTES:
         raise ResourceError(
             f"joint state of two subsystems needs ~{required} bytes "
-            f"(budget {memory_budget})",
+            f"(budget {JOINT_BYTES})",
             required_bytes=required,
-            budget_bytes=memory_budget,
+            budget_bytes=JOINT_BYTES,
         )
 
     wa = coherent_amplitudes(p.alpha_mag, n_max)
@@ -243,7 +236,7 @@ def two_subsystem_oracle(
     times = np.asarray(t, dtype=float)
     phi = evolve_exact_series(np.stack(psi0), h, times.reshape(-1))
     rho = np.stack([_joint_density(spec, e, g, n_levels_max + 1) for e, g in phi])
-    return TwoQubitDensity(matrix=rho.reshape(times.shape + (4, 4)))
+    return rho.reshape(times.shape + (4, 4))
 
 
 def _joint_density(spec: BellSpec, e: np.ndarray, g: np.ndarray, n_lv: int) -> np.ndarray:

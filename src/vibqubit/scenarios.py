@@ -29,6 +29,7 @@ from .dynamics import (
     ModeParams,
     QubitAmplitudes,
     Subsystem,
+    apply_map,
     single_qubit_map,
     stationary_subsystem,
     sweep,
@@ -49,7 +50,7 @@ Columns = Sequence[np.ndarray]
 
 def _coherence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
     c = np.array([s.c_e, s.c_g], dtype=complex)
-    return (l1_coherence(single_qubit_map(sub, times).apply(np.outer(c, c.conj()))),)
+    return (l1_coherence(apply_map(single_qubit_map(sub, times), np.outer(c, c.conj()))),)
 
 
 def _moments_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:

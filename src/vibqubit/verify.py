@@ -12,6 +12,7 @@ runs the checks in report order and times each call.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from collections.abc import Iterator
@@ -21,7 +22,6 @@ import numpy as np
 
 from .composite import (
     BellSpec,
-    TwoQubitDensity,
     bell_state,
     concurrence,
     evolve_two_qubit,
@@ -30,8 +30,8 @@ from .composite import (
 from .curves import revival_peak, upper_envelope
 from .dynamics import (
     ModeParams,
-    ProcessMatrix,
     QubitAmplitudes,
+    apply_map,
     evolve,
     reduced_qubit_density,
     single_qubit_map,
@@ -86,9 +86,9 @@ class DensityAuditor:
     max_trace_dev: float = 0.0
     min_eigenvalue: float = field(default=math.inf)
 
-    def record(self, rho: np.ndarray | TwoQubitDensity) -> None:
+    def record(self, rho: np.ndarray) -> None:
         """Audit one density, or each of a stack of them along leading axes."""
-        mat = np.asarray(getattr(rho, "matrix", rho))
+        mat = np.asarray(rho)
         if mat.size == 0:
             return
         adjoint = np.swapaxes(mat.conj(), -1, -2)
@@ -114,10 +114,13 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
 
     The analytic grids have ``n_max + 2`` levels per axis, the size of the
     oracle's space, so a flattened state is already in the oracle's basis.
+    The worst point is named only past 16 eps, below which many points tie.
     """
     times = np.linspace(0.0, 2500.0, 64)
+    rounding = 16 * np.finfo(float).eps
     worst = 0.0
     worst_at = ""
+    checked = 0
     for a_sq in (0.0, 1.0, 3.0, 5.0):
         for b_sq in (0.0, 1.0, 3.0, 5.0):
             p, wa, wb = _inputs(a_sq, b_sq)
@@ -132,6 +135,7 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
                     audit.record(reduced_qubit_density(states))
                     for k, e, g in zip(range(chunk.start, chunk.stop), states.e_branch, states.g_branch):
                         deficit = 1.0 - fidelity(np.concatenate([e.ravel(), g.ravel()]), exact[k, j])
+                        checked += 1
                         if deficit > worst:
                             worst = deficit
                             worst_at = f"a_sq={a_sq}, b_sq={b_sq}, c_e={abs(q0.c_e):.3f}, t={times[k]:.1f}"
@@ -140,25 +144,27 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
         passed=worst <= FIDELITY_DEFICIT,
         measured=f"worst fidelity deficit {worst:.3e}",
         bound=f"<= {FIDELITY_DEFICIT:.3e}",
-        detail=worst_at,
+        detail=worst_at if worst > rounding else f"{checked} states, all within 16 eps",
     )
 
 
 def check_falsification(audit: DensityAuditor) -> CheckResult:
     """The printed lowering coefficient must visibly break norm conservation.
 
-    Run with the unshifted variant at unit intensities and the dimensionless
-    time 2; a correct implementation of the corrected coefficient keeps the
-    same norm deficit at truncation level.
+    Run with the unshifted variant (lowering weights ``weights_down`` set to
+    ``weights``) at unit intensities and the dimensionless time 2; a correct
+    implementation of the corrected coefficient keeps the same norm deficit
+    at truncation level.
     """
     p, wa, wb = _inputs(1.0, 1.0)
     t = 2.0 / p.rabi_rate
     sub = vibrating_subsystem(p, wa, wb)
-    bad = evolve(sub, _BALANCED, t, unshifted_d=True)
-    good = evolve(sub, _BALANCED, t)
-    audit.record(reduced_qubit_density(good))
-    bad_dev = abs(1.0 - bad.norm_sq())
-    good_dev = abs(1.0 - good.norm_sq())
+    unshifted = dataclasses.replace(sub, weights_down=sub.weights)
+    bad = reduced_qubit_density(evolve(unshifted, _BALANCED, t))
+    good = reduced_qubit_density(evolve(sub, _BALANCED, t))
+    audit.record(good)
+    bad_dev = abs(1.0 - np.trace(bad).real)
+    good_dev = abs(1.0 - np.trace(good).real)
     return CheckResult(
         name="printed-coefficient-falsification",
         passed=bad_dev > 1e-3,
@@ -185,7 +191,7 @@ def check_map_consistency(audit: DensityAuditor) -> CheckResult:
             [[abs(q0.c_e) ** 2, q0.c_e * np.conj(q0.c_g)],
              [q0.c_g * np.conj(q0.c_e), abs(q0.c_g) ** 2]]
         )
-        via_map = m.apply(rho0)
+        via_map = apply_map(m, rho0)
         audit.record(direct)
         audit.record(via_map)
         worst = max(worst, float(np.max(np.abs(direct - via_map))))
@@ -220,7 +226,7 @@ def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
             via_oracle = two_subsystem_oracle(spec, p, n_max, times)
             audit.record(via_oracle)
             for k, t in enumerate(times):
-                td = _trace_distance(via_map.matrix[k], via_oracle.matrix[k])
+                td = _trace_distance(via_map[k], via_oracle[k])
                 if td > worst:
                     worst = td
                     worst_at = f"{kind}, intensity={intensity}, t={t:.1f}"
@@ -268,7 +274,7 @@ _TREND_TIMES = np.linspace(0.0, 2500.0, 2501)
 _TREND_BOUND = "over beta_sq in {1, 2, 4} at alpha_sq = 1"
 
 
-def _trend_maps() -> Iterator[ProcessMatrix]:
+def _trend_maps() -> Iterator[np.ndarray]:
     """The process matrix over the trend grid for each beta_sq of the trend
     bound, at alpha_sq = 1."""
     for b_sq in (1.0, 2.0, 4.0):
@@ -282,7 +288,7 @@ def _first_below(values: np.ndarray, level: float) -> float:
 def check_qualitative_coherence_trend(audit: DensityAuditor) -> CheckResult:
     halves = []
     for m in _trend_maps():
-        rho = m.apply(_BALANCED_RHO)
+        rho = apply_map(m, _BALANCED_RHO)
         audit.record(rho[::100])
         zeta = l1_coherence(rho)
         halves.append(_first_below(zeta, zeta[0] / 2.0))
@@ -299,7 +305,7 @@ def check_qualitative_entanglement_trends(audit: DensityAuditor) -> tuple[CheckR
     extinctions, halves = [], []
     for m in _trend_maps():
         rho = evolve_two_qubit(rho0, m)
-        audit.record(rho.matrix[::100])
+        audit.record(rho[::100])
         extinctions.append(_first_below(concurrence(rho), 0.01))
         tqc = two_qubit_coherence(rho)
         halves.append(_first_below(tqc, tqc[0] / 2.0))
@@ -344,7 +350,7 @@ def check_revival(audit: DensityAuditor) -> CheckResult:
     """Stationary baseline shows the textbook collapse-revival timing."""
     p, _, wb = _inputs(0.0, 25.0)
     times = np.linspace(0.0, 60.0, 3001)
-    rho = single_qubit_map(stationary_subsystem(p, wb), times).apply(_EXCITED_RHO)
+    rho = apply_map(single_qubit_map(stationary_subsystem(p, wb), times), _EXCITED_RHO)
     audit.record(rho[::200])
     signal = np.abs(rho[:, 0, 0].real - 0.5)
     collapse = upper_envelope(times, signal).first_crossing_below(0.05)

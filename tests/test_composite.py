@@ -33,21 +33,21 @@ def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0, tail_tol=1e-12):
 
 
 def test_phi_state_entries():
-    rho = bell_state(BellSpec("phi", HALF, HALF)).matrix
+    rho = bell_state(BellSpec("phi", HALF, HALF))
     expected = np.zeros((4, 4))
     expected[1:3, 1:3] = 0.5
     assert np.allclose(rho, expected, atol=1e-15)
 
 
 def test_psi_state_entries():
-    rho = bell_state(BellSpec("psi", HALF, HALF)).matrix
+    rho = bell_state(BellSpec("psi", HALF, HALF))
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
     assert np.allclose(rho, expected, atol=1e-15)
 
 
 def test_degenerate_bell_is_product():
-    rho = bell_state(BellSpec("phi", 1.0, 0.0)).matrix
+    rho = bell_state(BellSpec("phi", 1.0, 0.0))
     assert rho[1, 1] == pytest.approx(1.0)
     assert concurrence(rho) == 0.0
 
@@ -68,7 +68,7 @@ def test_two_qubit_identity_at_time_zero():
     rho0 = bell_state(BellSpec("phi", HALF, HALF))
     m = vibrating_map(0.0)
     rho = evolve_two_qubit(rho0, m)
-    assert np.allclose(rho.matrix, rho0.matrix, atol=1e-12)
+    assert np.allclose(rho, rho0, atol=1e-12)
 
 
 def test_product_input_stays_product():
@@ -84,7 +84,7 @@ def test_trace_and_hermiticity_preserved():
     rho0 = bell_state(BellSpec("psi", 0.6, 0.8))
     for t in (12.0, 340.0, 2100.0):
         m = vibrating_map(t)
-        rho = evolve_two_qubit(rho0, m).matrix
+        rho = evolve_two_qubit(rho0, m)
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
@@ -97,8 +97,8 @@ def test_two_qubit_map_matches_joint_oracle_vacuum():
     rho0 = bell_state(spec)
     for t in (0.0, 40.0, 111.0):
         m = single_qubit_map(vibrating_subsystem(p, w, w), t)
-        via_map = evolve_two_qubit(rho0, m).matrix
-        via_oracle = two_subsystem_oracle(spec, p, 4, t).matrix
+        via_map = evolve_two_qubit(rho0, m)
+        via_oracle = two_subsystem_oracle(spec, p, 4, t)
         assert np.max(np.abs(via_map - via_oracle)) < 1e-9
 
 
@@ -109,8 +109,8 @@ def test_two_qubit_map_matches_joint_oracle_coherent():
     w = coherent_amplitudes(1.0, n_max)
     rho0 = bell_state(spec)
     m = single_qubit_map(vibrating_subsystem(p, w, w), 400.0)
-    via_map = evolve_two_qubit(rho0, m).matrix
-    via_oracle = two_subsystem_oracle(spec, p, n_max, 400.0).matrix
+    via_map = evolve_two_qubit(rho0, m)
+    via_oracle = two_subsystem_oracle(spec, p, n_max, 400.0)
     diff = via_map - via_oracle
     trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     assert trace_distance < 1e-6
@@ -133,7 +133,7 @@ def test_concurrence_of_maximally_mixed_is_zero():
 
 
 def test_concurrence_clamped_to_unit_interval():
-    rho = bell_state(BellSpec("phi", HALF, HALF)).matrix
+    rho = bell_state(BellSpec("phi", HALF, HALF))
     assert 0.0 <= concurrence(rho) <= 1.0
 
 
@@ -166,7 +166,7 @@ def test_concurrence_swap_invariance():
     # the dynamics is symmetric in the two identical subsystems
     spec = BellSpec("phi", 0.6, 0.8)
     m = vibrating_map(170.0)
-    rho = evolve_two_qubit(bell_state(spec), m).matrix
+    rho = evolve_two_qubit(bell_state(spec), m)
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     assert concurrence(swap @ rho @ swap) == pytest.approx(concurrence(rho), abs=1e-12)
@@ -236,5 +236,5 @@ def test_tqc_matches_l1_of_oracle_density():
     t = 1.0 / p.rabi_rate
     m = single_qubit_map(vibrating_subsystem(p, w, w), t)
     via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m))
-    via_oracle = l1_coherence(two_subsystem_oracle(spec, p, n_max, t).matrix)
+    via_oracle = l1_coherence(two_subsystem_oracle(spec, p, n_max, t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)

@@ -208,3 +208,18 @@ def test_full_grid_seed_must_be_a_normal_double():
         expected.append(expected[-1] * 37.0 / math.sqrt(k + 1.0))
     assert np.array_equal(w.weights, expected)
     assert w.tail_mass == max(0.0, 1.0 - float(np.sum(w.weights * w.weights)))
+
+
+def test_window_seed_must_be_a_normal_double():
+    # exp(-1600 / 2) * 40 underflows at level 1 too: the weights used to come
+    # back all zero with tail_mass 1.0
+    with pytest.raises(ParameterError, match="level 1"):
+        coherent_amplitudes(40.0, 2000, 1)
+
+
+def test_underflowing_mean_puts_the_mass_at_level_zero():
+    # 1e-200 squared is 0.0, whose log the log-space seed cannot take
+    w = coherent_amplitudes(1e-200, 4)
+    assert w.weights[0] == 1.0
+    assert w.tail_mass == 0.0
+    assert not np.any(coherent_amplitudes(0.0, 6, 2).weights)

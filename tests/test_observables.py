@@ -42,13 +42,6 @@ def test_l1_of_bell_density_is_one():
     assert l1_coherence(np.outer(psi, psi)) == pytest.approx(1.0)
 
 
-def test_l1_accepts_density_carriers():
-    class Carrier:
-        matrix = np.full((2, 2), 0.5)
-
-    assert l1_coherence(Carrier()) == pytest.approx(1.0)
-
-
 def test_l1_rejects_bad_input():
     with pytest.raises(ParameterError):
         l1_coherence(np.ones((2, 3)))
@@ -121,9 +114,9 @@ def test_g2_undefined_for_empty_modes():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
     sample = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 0.0))
-    assert sample.g2 is None
+    assert math.isnan(sample.g2)
     populated = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 10.0))
-    assert populated.g2 is not None
+    assert math.isfinite(populated.g2)
 
 
 def test_g2_of_product_coherent_state_is_one():

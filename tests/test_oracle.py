@@ -224,8 +224,8 @@ def test_block_input_validation():
 
 def test_unnormalized_product_state_rejected_by_contract():
     w = coherent_amplitudes(1.0, 14)
-    raw = coherent_product_state(BALANCED, w, w, normalize=False)
-    assert abs(np.linalg.norm(raw) - 1.0) < 1e-11  # tail 3e-13 per mode
+    psi = coherent_product_state(BALANCED, w, w)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-14  # renormalized; the tail is 3e-13 per mode
     small_grid = coherent_amplitudes(2.0, 6)
     with pytest.raises(ParameterError):
         coherent_product_state(BALANCED, small_grid, small_grid, 5, 5)
@@ -257,24 +257,25 @@ def test_joint_oracle_at_time_zero_is_bell_state():
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     rho = two_subsystem_oracle(spec, p, 4, 0.0)
-    assert np.allclose(rho.matrix, bell_state(spec).matrix, atol=1e-12)
+    assert np.allclose(rho, bell_state(spec), atol=1e-12)
 
 
 def test_joint_oracle_density_invariants():
     spec = BellSpec("psi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
     for t in (0.0, 200.0, 800.0):
-        rho = two_subsystem_oracle(spec, p, 10, t).matrix
+        rho = two_subsystem_oracle(spec, p, 10, t)
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
 
-def test_joint_oracle_memory_budget():
+def test_joint_oracle_memory_budget(monkeypatch):
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    monkeypatch.setattr(oracle, "JOINT_BYTES", 1024)
     with pytest.raises(ResourceError) as err:
-        two_subsystem_oracle(spec, p, 12, 1.0, memory_budget=1024)
+        two_subsystem_oracle(spec, p, 12, 1.0)
     assert err.value.required_bytes > err.value.budget_bytes
     assert err.value.budget_bytes == 1024
 
@@ -284,19 +285,20 @@ def test_joint_oracle_time_grid_matches_scalar_calls(kind):
     spec = BellSpec(kind, HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
     times = np.linspace(0.0, 1000.0, 16)
-    grid = two_subsystem_oracle(spec, p, 12, times).matrix
+    grid = two_subsystem_oracle(spec, p, 12, times)
     assert grid.shape == (16, 4, 4)
     for k, t in enumerate(times):
-        scalar = two_subsystem_oracle(spec, p, 12, float(t)).matrix
+        scalar = two_subsystem_oracle(spec, p, 12, float(t))
         assert scalar.shape == (4, 4)
         assert np.max(np.abs(grid[k] - scalar)) < 1e-12
 
 
-def test_joint_oracle_time_grid_validation():
+def test_joint_oracle_time_grid_validation(monkeypatch):
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
     for bad in (np.nan, -1.0):
         with pytest.raises(ParameterError):
             two_subsystem_oracle(spec, p, 6, np.array([0.0, bad, 2.0]))
+    monkeypatch.setattr(oracle, "JOINT_BYTES", 1024)
     with pytest.raises(ResourceError):
-        two_subsystem_oracle(spec, p, 12, np.linspace(0.0, 10.0, 4), memory_budget=1024)
+        two_subsystem_oracle(spec, p, 12, np.linspace(0.0, 10.0, 4))

@@ -6,7 +6,6 @@ times the checks.
 """
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -53,16 +52,6 @@ class TestDensityAuditor:
         assert audit.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
         audit.record(np.array([[0.5, 0.1j], [0.1j, 0.5]]))  # not Hermitian
         assert audit.max_herm_dev == pytest.approx(0.2, abs=1e-15)
-
-    def test_accepts_wrapped_density_with_matrix_attribute(self):
-        class Wrapped:
-            matrix = np.eye(4) / 4.0
-
-        audit = DensityAuditor()
-        audit.record(Wrapped())
-        assert audit.count == 1
-        assert audit.max_trace_dev == 0.0
-        assert math.isfinite(audit.min_eigenvalue)
 
 
 class TestRunAll:
