@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import ParameterError, ResourceError
@@ -25,7 +26,10 @@ def _complex_flag(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it as it was, and each
+    argument built costs a terminal-size query, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="vibqubit",
         description="Vibrating-qubit cavity dynamics: scenario sweeps and verification.",

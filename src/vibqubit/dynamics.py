@@ -23,12 +23,20 @@ One walk, :func:`_phases`, yields the cos and sin of every block angle in
 pieces whose basis tables fit :data:`CHUNK_BYTES`; on a uniform grid it
 steps the phases from one time to the next.  Every
 row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
-keeps 16 numbers per time, :func:`sweep` hands out each piece's states,
-and :func:`evolve` builds every time it is given.
+keeps 16 numbers per time, :func:`occupation_sums` 4, :func:`sweep` hands
+out each piece's states, and :func:`evolve` builds every time it is given.
+
+Each term of a branch's squared norm turns with one block frequency, so
+the map's diagonal Gram entries and the mode moments are sums over the
+distinct frequencies, weighted once per call by :func:`_bins`: a time
+costs one row of cos^2, sin^2 and cos sin (:func:`_trig_rows`), not a pass
+over the Fock grid.  Only the map's cross terms between the excited and
+ground branches pair two frequencies and read the basis tables.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -163,16 +171,6 @@ class GlobalState:
         """Coefficient grid ``G = c_g C - i c_e D`` of ``|m, n> (x) |g>``."""
         return self._branch(self.q0.c_g, 2, self.q0.c_e, 3)
 
-    def probability(self) -> np.ndarray:
-        """``|E|^2 + |G|^2`` on the grid, straight from the real tables."""
-        a, b, c, d = np.moveaxis(self.tables, 1, 0)
-        c_e, c_g = complex(self.q0.c_e), complex(self.q0.c_g)
-        # the cross terms of |c_e A - i c_g B|^2 + |c_g C - i c_e D|^2
-        cross = 2.0 * (c_e * c_g.conjugate()).imag
-        prob = abs(c_e) ** 2 * (a * a + d * d) + abs(c_g) ** 2 * (b * b + c * c)
-        prob -= cross * (a * b - c * d)
-        return self._per_time(prob)
-
 
 @dataclass(frozen=True)
 class Subsystem:
@@ -183,11 +181,12 @@ class Subsystem:
     end of the weights' window (at the low end only when the window starts
     above level 0); ``weights_up[k] = weights[k+1]`` and
     ``weights_down[k] = weights[k-1]`` are the same grid moved by one level.
-    The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``
-    (``freqs[0] = 0`` stands in below the grid, where every weight is 0 or
-    level 0 is dark).  ``freqs`` lists each distinct block frequency once,
-    so the trig runs once per distinct frequency and is gathered onto the
-    grid.
+    The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``, and the
+    one feeding ``|g, k>`` at ``rate * freqs[down[k]]``, ``down[k] =
+    up[k-1]`` (``freqs[0] = 0`` stands in below the grid, where every
+    weight is 0 or level 0 is dark, so ``down`` is 0 on the low faces).
+    ``freqs`` lists each distinct block frequency once, so the trig runs
+    once per distinct frequency and is gathered onto the grid.
     """
 
     weights: np.ndarray
@@ -197,6 +196,7 @@ class Subsystem:
     rate: float
     freqs: np.ndarray
     up: np.ndarray
+    down: np.ndarray
 
 
 def _check_consistent(
@@ -241,6 +241,7 @@ def _subsystem(rate: float, *modes: CoherentAmplitudes) -> Subsystem:
         rate=rate,
         freqs=freqs,
         up=up,
+        down=_shift(up, -1),
     )
 
 
@@ -335,6 +336,38 @@ def _rotate_blocks(sub: Subsystem, cos: np.ndarray, sin: np.ndarray) -> np.ndarr
     return tables
 
 
+#: (row, column) of the six Gram entries that turn with one block frequency,
+#: by the trig product they take (cos^2, sin^2, cos sin) and the block index
+#: they take it at (``up``, ``down``): AA and CC, BB and DD, AB and CD
+_DIAGONAL = (((0, 0), (2, 2)), ((1, 1), (3, 3)), ((0, 1), (2, 3)))
+
+
+def _bins(sub: Subsystem, mix: np.ndarray, powers: tuple = (1.0,)) -> np.ndarray:
+    """(3, F, K P) weights that take a time's rows of :func:`_trig_rows` to
+    sums over the grid: column ``(k, p)`` of trig product ``b`` sums
+    ``mix[b, s, k] * powers[p]`` (a grid or a scalar) times the terms of
+    the Gram entry ``_DIAGONAL[b][s]``, binned by block frequency one grid
+    at a time."""
+    f, w = sub.freqs.size, sub.weights
+    out = np.zeros((3, f, mix.shape[-1], len(powers)))
+    for s, (index, shifted) in enumerate(((sub.up, sub.weights_up), (sub.down, sub.weights_down))):
+        for b, terms in enumerate((w * w, shifted * shifted, w * shifted)):
+            for k, p in itertools.product(np.flatnonzero(mix[b, s]), range(len(powers))):
+                weight = mix[b, s, k] * terms * powers[p]
+                out[b, :, k, p] += np.bincount(index.ravel(), weight.ravel(), minlength=f)
+    return out.reshape(3, f, -1)
+
+
+def _trig_rows(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """cos^2, sin^2 and cos sin of each time's block angles, (T, 3, 1, F):
+    one row per time and product, so a product with :func:`_bins` is one
+    per time."""
+    rows = np.empty((cos.shape[0], 3, 1, cos.shape[1]))
+    for row, (x, y) in zip(np.moveaxis(rows[:, :, 0], 1, 0), ((cos, cos), (sin, sin), (cos, sin))):
+        np.multiply(x, y, out=row)
+    return rows
+
+
 def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The walk of a sweep: cos and sin (T, F) of the block angles
     ``theta = rate * t * freqs`` for each chunk, in order: a slice of at
@@ -393,6 +426,28 @@ def sweep(
         yield chunk, GlobalState(q0, _rotate_blocks(sub, cos, sin), times[chunk], sub.origin)
 
 
+def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> np.ndarray:
+    """Sums over a two-mode grid of ``|E|^2 + |G|^2`` weighted by ``1``,
+    ``m``, ``n`` and ``m n`` (absolute Fock levels), (4,) or (T, 4).
+
+    The Gram entry ``(u, v)`` of the basis tables enters ``|E|^2 + |G|^2``
+    with weight ``Re(k^H k)[u, v]``, ``k`` the branch coefficients of
+    ``q0``, and that weight is 0 between the excited and ground branches:
+    every term turns with one block frequency.  Times go through the walk
+    of :func:`_phases` and no table is built.
+    """
+    times = _times(t)
+    k = _coefficients(q0)
+    weight = (k.conj().T @ k).real
+    mix = np.array([[[weight[u, v] * (1 if u == v else 2)] for u, v in pair] for pair in _DIAGONAL])
+    m, n = (o + np.arange(size, dtype=float) for o, size in zip(sub.origin, sub.weights.shape))
+    bins = _bins(sub, mix, (1.0, m[:, None], n[None, :], np.multiply.outer(m, n)))
+    sums = np.empty((times.size, 4))
+    for chunk, cos, sin in _phases(sub, times):
+        sums[chunk] = (_trig_rows(cos, sin) @ bins)[:, :, 0].sum(axis=1)
+    return sums if np.ndim(t) else sums[0]
+
+
 def reduced_qubit_density(s: GlobalState) -> np.ndarray:
     """Trace out both modes; returns the 2x2 density in the (e, g) basis.
 
@@ -426,16 +481,25 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
     distinct grid points and fail to reproduce the reduced density.
 
     Every mode trace is a fixed complex combination of the entries of one
-    real Gram matrix of the four basis tables per time (:func:`_gram`).
+    real Gram matrix of the four basis tables per time.  Its six entries
+    within a branch are one-frequency sums (:func:`_bins`); only the cross
+    block between the (A, B) and (C, D) tables is summed over the grid.
     Times go through the walk of :func:`_phases`; only the (T, 4, 4) result
     spans them all.
     """
     times = _times(t)
+    bins = _bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    rows, cols = np.moveaxis(np.array(_DIAGONAL), -1, 0)
+    gram = np.empty((times.size, 4, 4))
+    for chunk, cos, sin in _phases(sub, times):
+        x = _rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
+        g = gram[chunk]
+        g[:, rows, cols] = g[:, cols, rows] = (_trig_rows(cos, sin) @ bins)[:, :, 0]
+        g[:, :2, 2:] = x[:, :2] @ x[:, 2:].transpose(0, 2, 1)
+        g[:, 2:, :2] = g[:, :2, 2:].transpose(0, 2, 1)
     k = _BASIS_BRANCHES
     # traces[u, v] = sum over the grid of branch u times conj(branch v)
-    traces = np.empty((times.size, 4, 4), dtype=complex)
-    for chunk, cos, sin in _phases(sub, times):
-        traces[chunk] = k @ _gram(_rotate_blocks(sub, cos, sin)) @ k.conj().T
+    traces = k @ gram @ k.conj().T
     # branch u = 2 * (input basis state) + (output qubit level)
     matrix = traces.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4)
     return matrix if np.ndim(t) else matrix[0]

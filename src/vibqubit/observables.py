@@ -1,7 +1,9 @@
 """Observables: l1 coherence and photon-phonon correlation moments.
 
-Each takes one state or density, or a stack of them along a leading time
-axis, and returns one value per state.
+:func:`l1_coherence` takes one density or a stack of them along a leading
+time axis, and :func:`mode_moments` a subsystem, an initial qubit and one
+time or an array of times, like :func:`vibqubit.dynamics.evolve`; each
+returns one value per density or time.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GlobalState
+from .dynamics import QubitAmplitudes, Subsystem, occupation_sums
 from .errors import ParameterError
 
 _HERMITIAN_TOL = 1e-9
@@ -62,32 +64,28 @@ def l1_coherence(rho: np.ndarray) -> float | np.ndarray:
     return value if rho.ndim > 2 else float(value)
 
 
-def _powers(levels: int, origin: int) -> np.ndarray:
-    """Columns ``1`` and ``k`` over the Fock levels ``origin <= k < origin + levels``."""
-    k = np.arange(origin, origin + levels, dtype=float)
-    return np.stack([np.ones_like(k), k], axis=1)
-
-
-def mode_moments(s: GlobalState) -> CorrelationSample:
-    """Occupation moments of both modes evaluated on the pure global state.
+def mode_moments(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> CorrelationSample:
+    """Occupation moments of both modes of ``evolve(sub, q0, t)``.
 
     Because the two number operators act on distinct modes and the state is
-    pure, ``<n_a n_b>`` is a plain weighted sum over the coefficient grids;
-    no mode density matrix is ever required; each grid index is weighted by
-    its absolute Fock level (``s.origin`` onward).  For a state at an array of
-    times every field is an array over those times.  ``g2`` is NaN where
-    it is undefined.
+    pure, ``<n_a n_b>`` is a plain weighted sum over the coefficient grids,
+    each grid index weighted by its absolute Fock level; no mode density
+    matrix is ever required, and no grid either: the sums are taken per
+    block frequency (:func:`vibqubit.dynamics.occupation_sums`).  For an
+    array of times every field is an array over those times.  ``g2`` is NaN
+    where it is undefined.
+
+    Raises
+    ------
+    ParameterError
+        If ``sub`` has one mode (a stationary subsystem) or a state has no
+        weight on the grid.
     """
-    lead = np.ndim(s.time)
-    prob = s.probability()
-    prob = prob.reshape((-1,) + prob.shape[lead:])  # (T, N_a, N_b)
-    # the weights 1, m, n and m n factor over the two axes: sum over n with
-    # (1, n), then over m with (1, m); each product is one matrix per time,
-    # so a time's sums never depend on how many are stacked
-    origin_a, origin_b = s.origin
-    by_m = prob @ _powers(prob.shape[2], origin_b)
-    sums = by_m.transpose(0, 2, 1) @ _powers(prob.shape[1], origin_a)
-    total, n_a, n_b, joint = sums.reshape(-1, 4).T
+    if sub.weights.ndim != 2:
+        raise ParameterError(
+            f"mode moments need the vibrational and cavity modes; the subsystem has {sub.weights.ndim}"
+        )
+    total, n_a, n_b, joint = np.atleast_2d(occupation_sums(sub, q0, t)).T
     if np.any(total <= 0.0):
         raise ParameterError("cannot take moments of a zero state")
     # normalize by <psi|psi>: truncation leaves the norm slightly below 1,
@@ -96,6 +94,6 @@ def mode_moments(s: GlobalState) -> CorrelationSample:
     denom = n_a * n_b
     g2 = np.divide(joint, denom, out=np.full_like(denom, np.nan), where=denom > G2_DENOMINATOR_FLOOR)
     values = (n_a, n_b, joint, joint - denom, g2)
-    if not lead:
+    if not np.ndim(t):
         values = tuple(float(v[0]) for v in values)
     return CorrelationSample(*values)

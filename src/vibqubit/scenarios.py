@@ -9,9 +9,10 @@ rendered from it.  The truncation,
 the coherent weights and the block frequencies are fixed once per
 scenario, and each row function takes the whole time grid: the map rows
 use the (T, 4, 4) process matrix that ``single_qubit_map`` builds chunk by
-chunk, and the moments row walks the chunks of ``dynamics.sweep``.  Every
-row is a pure function of the scenario and its time, the same whatever
-the chunk length, and the CSV writer pins the formatting so reruns are
+chunk, and the moments row takes ``mode_moments`` of every time in one
+call, summed per block frequency without building a state.  Every row is
+a pure function of the scenario and its time, the same whatever the chunk
+length, and the CSV writer pins the formatting so reruns are
 byte-identical.
 """
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .dynamics import (
     apply_map,
     single_qubit_map,
     stationary_subsystem,
-    sweep,
     vibrating_subsystem,
 )
 from .errors import ParameterError
@@ -54,13 +54,8 @@ def _coherence_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
 
 
 def _moments_row(s: Scenario, sub: Subsystem, times: np.ndarray) -> Columns:
-    columns = np.empty((5, times.size))
-    for chunk, state in sweep(sub, QubitAmplitudes(s.c_e, s.c_g), times):
-        sample = mode_moments(state)
-        columns[:, chunk] = (
-            sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, sample.g2
-        )
-    return columns
+    sample = mode_moments(sub, QubitAmplitudes(s.c_e, s.c_g), times)
+    return sample.n_a_mean, sample.n_b_mean, sample.joint_mean, sample.cross_corr, sample.g2
 
 
 def _two_qubit_density(s: Scenario, sub: Subsystem, times: np.ndarray):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vibqubit
-from vibqubit.cli import main
+from vibqubit.cli import build_parser, main
 from vibqubit.errors import ParameterError, ResourceError
 from vibqubit.scenarios import Scenario
 from vibqubit.verify import CheckResult
@@ -32,6 +32,31 @@ def test_run_writes_csv(tmp_path, read_csv):
     assert metadata["mode"] == "single-coherence"
     assert columns == ["t", "eta_kappa_t", "zeta"]
     assert len(out.read_text().splitlines()) == 13 + 1 + 4  # metadata, header, rows
+
+
+def test_calls_in_one_process_are_independent(tmp_path, read_csv):
+    # every call of a process parses with the same parser; no flag of one
+    # call reaches the next, and a rejected flag leaves the next call as is
+    assert build_parser() is build_parser()
+    first = ("run", "--mode", "mode-correlation", "--alpha-sq", "2", "--ce", "0.6,0",
+             "--cg", "0,0.8", "--steps", "3", "--t-max", "50", "--out")
+    assert run_cli(*first, str(tmp_path / "first.csv")) == 0
+    assert run_cli("run", "--mode", "tqc", "--steps", "4", "--t-max", "20",
+                   "--out", str(tmp_path / "second.csv")) == 0
+    with pytest.raises(SystemExit) as err:
+        run_cli("run", "--mode", "tqc", "--steps", "many", "--out", str(tmp_path / "bad.csv"))
+    assert err.value.code == 2
+    assert not (tmp_path / "bad.csv").exists()
+    assert run_cli(*first, str(tmp_path / "again.csv")) == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    metadata, columns, rows = read_csv(tmp_path / "second.csv")
+    defaults = Scenario(mode="tqc")
+    assert metadata["alpha_sq"] == f"{defaults.alpha_sq:.8e}"
+    assert metadata["c_e"] == f"{defaults.c_e.real:.8e},0.00000000e+00"
+    assert columns == ["t", "eta_kappa_t", "value"] and len(rows) == 4
+    metadata, columns, rows = read_csv(tmp_path / "first.csv")
+    assert metadata["alpha_sq"] == "2.00000000e+00" and metadata["c_g"] == "0.00000000e+00,8.00000000e-01"
+    assert columns[2:] == ["n_a", "n_b", "joint", "cross_corr", "g2"] and len(rows) == 3
 
 
 def test_run_default_output_name(tmp_path, monkeypatch):

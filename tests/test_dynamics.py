@@ -385,7 +385,7 @@ def test_windowed_grid_matches_oracle_on_full_grid():
         if q0 is BALANCED:
             assert np.max(np.abs(full[1:, 0, w.n_min - 1])) > 1e-8
             # the moments weight each grid index by its absolute Fock level
-            sample = mode_moments(s)
+            sample = mode_moments(sub, q0, times)
             prob = np.sum(np.abs(exact[:, j].reshape(-1, 2, *levels)) ** 2, axis=1)
             prob /= prob.sum(axis=(1, 2), keepdims=True)
             m = np.arange(levels[0], dtype=float)
@@ -571,10 +571,13 @@ def test_tables_of_non_uniform_grids_are_direct():
 def test_walk_is_the_same_whatever_the_cut(monkeypatch):
     p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
     times = np.linspace(0.0, 900.0, 200)
+    tilted = QubitAmplitudes(0.6, 0.8j)
     for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
+        two_modes = sub.weights.ndim == 2  # moments need both modes
         whole = evolve(sub, BALANCED, times).tables
         cos, sin = walk(sub, times)
         process = single_qubit_map(sub, times)
+        moments = dataclasses.astuple(mode_moments(sub, tilted, times)) if two_modes else ()
         # chunks of 5 times straddle every reseed but the first
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 4 * sub.weights.nbytes)
         assert np.array_equal(np.concatenate(walk(sub, times)), np.concatenate([cos, sin]))
@@ -584,7 +587,32 @@ def test_walk_is_the_same_whatever_the_cut(monkeypatch):
         assert np.array_equal(np.concatenate([state.tables for _, state in states]), whole)
         assert np.array_equal(evolve(sub, BALANCED, times).tables, whole)
         assert np.array_equal(single_qubit_map(sub, times), process)
+        if two_modes:
+            cut = dataclasses.astuple(mode_moments(sub, tilted, times))
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(cut, moments))
         monkeypatch.undo()
+
+
+def test_binned_diagonal_gram_matches_the_grid():
+    # the six one-frequency Gram entries, summed per block frequency, against
+    # the full Gram matrix of the basis tables; the unshifted variant's
+    # lowering weights flow through the bins too
+    p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
+    w = windowed_amplitudes(36.0, 1e-12)
+    vibrating = vibrating_subsystem(p, wa, wb)
+    subs = (
+        vibrating,
+        vibrating_subsystem(ModeParams(alpha_mag=6.0, beta_mag=6.0), w, w),  # from level 2
+        stationary_subsystem(p, wb),
+        dataclasses.replace(vibrating, weights_down=vibrating.weights),
+    )
+    rows, cols = np.moveaxis(np.array(dynamics._DIAGONAL), -1, 0)
+    for sub in subs:
+        bins = dynamics._bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        for _, cos, sin in dynamics._phases(sub, np.linspace(0.0, 900.0, 37)):
+            gram = dynamics._gram(dynamics._rotate_blocks(sub, cos, sin))
+            binned = (dynamics._trig_rows(cos, sin) @ bins)[:, :, 0]
+            assert np.allclose(binned, gram[:, rows, cols], rtol=0.0, atol=1e-14)
 
 
 def test_map_rejects_bad_density_shape():

@@ -16,12 +16,15 @@ from vibqubit import (
     l1_coherence,
     mode_moments,
     reduced_qubit_density,
+    stationary_subsystem,
     vibrating_subsystem,
 )
+from vibqubit.fock import windowed_amplitudes
 from vibqubit.oracle import build_red_sideband, coherent_product_state, evolve_exact_series
 
 BALANCED = QubitAmplitudes(2.0**-0.5, 2.0**-0.5)
 EXCITED = QubitAmplitudes(1.0, 0.0)
+TILTED = QubitAmplitudes(0.6, 0.8j)
 
 
 # ---------------------------------------------------------------- l1 coherence
@@ -68,7 +71,7 @@ def test_cross_correlation_vanishes_at_time_zero():
         p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
         wa = coherent_amplitudes(p.alpha_mag, choose_truncation(a_sq, 1e-12))
         wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, 1e-12))
-        sample = mode_moments(evolve(vibrating_subsystem(p, wa, wb), BALANCED, 0.0))
+        sample = mode_moments(vibrating_subsystem(p, wa, wb), BALANCED, 0.0)
         assert abs(sample.cross_corr) < 1e-12
         # truncated <n> sits below the exact mean by about n_max * tail
         assert sample.n_a_mean == pytest.approx(a_sq, abs=1e-9)
@@ -82,7 +85,7 @@ def test_vacuum_rabi_moments_closed_form():
     w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 11.0, 47.0):
         s = math.sin(p.rabi_rate * t) ** 2
-        sample = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, t))
+        sample = mode_moments(vibrating_subsystem(p, w, w), EXCITED, t)
         assert sample.n_a_mean == pytest.approx(s, abs=1e-12)
         assert sample.n_b_mean == pytest.approx(s, abs=1e-12)
         assert sample.joint_mean == pytest.approx(s, abs=1e-12)
@@ -94,7 +97,7 @@ def test_moments_match_oracle_operator_averages():
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
     t = 150.0
-    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, t))
+    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
 
     h = build_red_sideband(p, w.n_max + 1, w.n_max + 1)
     psi0 = coherent_product_state(BALANCED, w, w, w.n_max + 1, w.n_max + 1)
@@ -113,16 +116,16 @@ def test_moments_match_oracle_operator_averages():
 def test_g2_undefined_for_empty_modes():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 0.0))
+    sample = mode_moments(vibrating_subsystem(p, w, w), EXCITED, 0.0)
     assert math.isnan(sample.g2)
-    populated = mode_moments(evolve(vibrating_subsystem(p, w, w), EXCITED, 10.0))
+    populated = mode_moments(vibrating_subsystem(p, w, w), EXCITED, 10.0)
     assert math.isfinite(populated.g2)
 
 
 def test_g2_of_product_coherent_state_is_one():
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
-    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, 0.0))
+    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, 0.0)
     assert sample.g2 == pytest.approx(1.0, abs=1e-11)
 
 
@@ -131,7 +134,56 @@ def test_g2_of_product_coherent_state_is_one():
 def test_moment_bounds(t):
     p = ModeParams()
     w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
-    sample = mode_moments(evolve(vibrating_subsystem(p, w, w), BALANCED, t))
+    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
     assert 0.0 <= sample.n_a_mean <= w.n_max + 1
     assert 0.0 <= sample.n_b_mean <= w.n_max + 1
     assert sample.joint_mean >= 0.0
+
+
+def grid_moments(state):
+    """n_a, n_b, joint and cross correlation of an evolved state (T times),
+    summed over its coefficient grids with absolute Fock levels: the
+    grid-by-grid reference of the per-frequency sums."""
+    prob = np.abs(state.e_branch) ** 2 + np.abs(state.g_branch) ** 2
+    m, n = (o + np.arange(k, dtype=float) for o, k in zip(state.origin, prob.shape[1:]))
+    total = prob.sum(axis=(1, 2))
+    n_a = np.einsum("tmn,m->t", prob, m) / total
+    n_b = np.einsum("tmn,n->t", prob, n) / total
+    joint = np.einsum("tmn,m,n->t", prob, m, n) / total
+    return n_a, n_b, joint, joint - n_a * n_b
+
+
+@pytest.mark.parametrize(
+    "a_sq, b_sq, times",
+    [
+        (100.0, 100.0, np.linspace(0.0, 60.0, 13)),  # windowed, levels 36 to 179
+        (1.0, 4.0, np.linspace(0.0, 900.0, 31)),
+        (0.0, 4.0, np.linspace(0.0, 900.0, 31)),
+        (0.0, 0.0, np.linspace(0.0, 900.0, 31)),
+    ],
+)
+def test_binned_moments_match_the_grid(a_sq, b_sq, times):
+    p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
+    sub = vibrating_subsystem(p, windowed_amplitudes(a_sq, 1e-12), windowed_amplitudes(b_sq, 1e-12))
+    assert (sub.origin == (0, 0)) == (a_sq < 100.0)
+    for q0 in (EXCITED, BALANCED, TILTED):
+        sample = mode_moments(sub, q0, times)
+        n_a, n_b, joint, cross = grid_moments(evolve(sub, q0, times))
+        for got, want in ((sample.n_a_mean, n_a), (sample.n_b_mean, n_b), (sample.joint_mean, joint)):
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        # a difference of two terms of size joint
+        assert np.allclose(sample.cross_corr, cross, rtol=0.0, atol=1e-13 * np.max(joint))
+        defined = n_a * n_b > 1e-15
+        assert np.array_equal(np.isnan(sample.g2), ~defined)
+        assert np.allclose(sample.g2[defined], joint[defined] / (n_a * n_b)[defined], rtol=1e-13, atol=0.0)
+    if a_sq == b_sq == 0.0:
+        # from |e, 0, 0> both modes are empty at t = 0; from |g, 0, 0> always
+        assert math.isnan(mode_moments(sub, EXCITED, 0.0).g2)
+        assert np.all(np.isnan(mode_moments(sub, QubitAmplitudes(0.0, 1.0), times).g2))
+
+
+def test_moments_of_a_one_mode_subsystem_are_refused():
+    p = ModeParams(alpha_mag=0.0, beta_mag=1.0)
+    sub = stationary_subsystem(p, coherent_amplitudes(1.0, 14))
+    with pytest.raises(ParameterError, match="vibrational and cavity modes"):
+        mode_moments(sub, BALANCED, 1.0)
