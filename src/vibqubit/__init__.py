@@ -14,7 +14,6 @@ from .composite import (
 )
 from .curves import Envelope, revival_peak, upper_envelope
 from .dynamics import (
-    GlobalState,
     ModeParams,
     QubitAmplitudes,
     Subsystem,
@@ -44,7 +43,6 @@ __all__ = [
     "CoherentAmplitudes",
     "CorrelationSample",
     "Envelope",
-    "GlobalState",
     "ModeParams",
     "ParameterError",
     "QubitAmplitudes",

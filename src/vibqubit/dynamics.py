@@ -23,8 +23,8 @@ One walk, :func:`_phases`, yields the cos and sin of every block angle in
 pieces whose basis tables fit :data:`CHUNK_BYTES`; on a uniform grid it
 steps the phases from one time to the next.  Every
 row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
-keeps 16 numbers per time, :func:`occupation_sums` 4, :func:`sweep` hands
-out each piece's states, and :func:`evolve` builds every time it is given.
+keeps 16 numbers per time, :func:`occupation_sums` 4, and :func:`evolve`
+the whole state, a plain complex array of the excited and ground branches.
 
 Each term of a branch's squared norm turns with one block frequency, so
 the map's diagonal Gram entries and the mode moments are sums over the
@@ -121,55 +121,6 @@ def _coefficients(q0: QubitAmplitudes) -> np.ndarray:
     (A, B, C, D) of :func:`_rotate_blocks`: ``E = c_e A - i c_g B`` and
     ``G = c_g C - i c_e D``."""
     return np.array([[q0.c_e, -1j * q0.c_g, 0, 0], [0, 0, q0.c_g, -1j * q0.c_e]])
-
-
-def _gram(tables: np.ndarray) -> np.ndarray:
-    """Sums over the grid of the products of each pair of the four tables,
-    (T, 4, 4) for tables of shape (T, 4, *grid); a real ``X X^T`` per time."""
-    x = tables.reshape(tables.shape[:2] + (-1,))
-    return x @ x.transpose(0, 2, 1)
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """Pure state ``sum E[m, n] |m, n> (x) |e> + G[m, n] |m, n> (x) |g>``.
-
-    Held as the real basis ``tables`` (T, 4, *grid) of :func:`_rotate_blocks`
-    and the initial amplitudes ``q0``, which fix the branches; T = 1 for a
-    scalar ``time``, and for an array of times every result carries a
-    leading time axis.  Grid index ``i`` of an axis is Fock level
-    ``origin + i`` of its mode.  The grids carry whatever norm the truncated
-    evolution left them with: the trace of :func:`reduced_qubit_density`.
-    """
-
-    q0: QubitAmplitudes
-    tables: np.ndarray
-    time: float | np.ndarray
-    origin: tuple[int, ...]
-
-    def __post_init__(self):
-        self.tables.setflags(write=False)
-
-    def _per_time(self, x: np.ndarray) -> np.ndarray:
-        return x if np.ndim(self.time) else x[0]
-
-    def _branch(self, c_x: complex, x: int, c_y: complex, y: int) -> np.ndarray:
-        """``c_x X - i c_y Y`` for tables ``X``, ``Y``, built one real part at a time."""
-        c_x, c_y = complex(c_x), complex(c_y)
-        out = np.empty(self.tables[:, x].shape, dtype=complex)
-        out.real = c_x.real * self.tables[:, x] + c_y.imag * self.tables[:, y]
-        out.imag = c_x.imag * self.tables[:, x] - c_y.real * self.tables[:, y]
-        return self._per_time(out)
-
-    @property
-    def e_branch(self) -> np.ndarray:
-        """Coefficient grid ``E = c_e A - i c_g B`` of ``|m, n> (x) |e>``."""
-        return self._branch(self.q0.c_e, 0, self.q0.c_g, 1)
-
-    @property
-    def g_branch(self) -> np.ndarray:
-        """Coefficient grid ``G = c_g C - i c_e D`` of ``|m, n> (x) |g>``."""
-        return self._branch(self.q0.c_g, 2, self.q0.c_e, 3)
 
 
 @dataclass(frozen=True)
@@ -405,25 +356,24 @@ def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarr
         yield chunk, z.real, z.imag
 
 
-def evolve(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> GlobalState:
-    """Closed-form evolution of ``q0`` times the coherent modes to time(s) ``t``."""
-    times = _times(t)
-    tables = np.empty((times.size, 4) + sub.weights.shape)
-    for chunk, cos, sin in _phases(sub, times):
-        tables[chunk] = _rotate_blocks(sub, cos, sin)
-    return GlobalState(
-        q0=q0, tables=tables, time=times if np.ndim(t) else float(t), origin=sub.origin
-    )
+def evolve(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> np.ndarray:
+    """Closed-form evolution of ``q0`` times the coherent modes to time(s) ``t``.
 
-
-def sweep(
-    sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray
-) -> Iterator[tuple[slice, GlobalState]]:
-    """The states of :func:`evolve` at times ``t``, each chunk of
-    :func:`_phases` with its slice of ``t``, in order."""
+    The state ``sum E[k] |k> (x) |e> + G[k] |k> (x) |g>`` as a complex array
+    (2, N), or (T, 2, N) for an array of T times: row 0 is the excited branch
+    ``E`` and row 1 the ground branch ``G``, each the subsystem's grid
+    flattened in C order (``sub.weights.shape``, index ``i`` of an axis at
+    Fock level ``sub.origin[axis] + i``).  On a grid from level 0 this is the
+    oracle's basis order.  The state keeps whatever norm the truncated
+    evolution left it: the trace of :func:`reduced_qubit_density`.  Every
+    time given is held at once.
+    """
     times = _times(t)
+    k = _coefficients(q0)
+    psi = np.empty((times.size, 2, sub.weights.size), dtype=complex)
     for chunk, cos, sin in _phases(sub, times):
-        yield chunk, GlobalState(q0, _rotate_blocks(sub, cos, sin), times[chunk], sub.origin)
+        psi[chunk] = k @ _rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
+    return psi if np.ndim(t) else psi[0]
 
 
 def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> np.ndarray:
@@ -448,15 +398,14 @@ def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) 
     return sums if np.ndim(t) else sums[0]
 
 
-def reduced_qubit_density(s: GlobalState) -> np.ndarray:
-    """Trace out both modes; returns the 2x2 density in the (e, g) basis.
+def reduced_qubit_density(psi: np.ndarray) -> np.ndarray:
+    """Trace out both modes of a state of :func:`evolve`; returns the 2x2
+    density in the (e, g) basis, stacked as (T, 2, 2) for T times.
 
-    Stacked as (T, 2, 2) for a state at T times.  The ground population is
-    reported as computed from the grids, not forced to ``1 - rho_ee``;
-    their agreement is asserted by tests.
+    The ground population is reported as computed from the grids, not
+    forced to ``1 - rho_ee``; their agreement is asserted by tests.
     """
-    k = _coefficients(s.q0)
-    return s._per_time(k @ _gram(s.tables) @ k.conj().T)
+    return psi @ np.swapaxes(psi.conj(), -1, -2)
 
 
 #: branch coefficients of the two qubit basis states, rows (E, G) from

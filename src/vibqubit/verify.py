@@ -36,7 +36,6 @@ from .dynamics import (
     reduced_qubit_density,
     single_qubit_map,
     stationary_subsystem,
-    sweep,
     vibrating_subsystem,
 )
 from .fock import CoherentAmplitudes, choose_truncation, coherent_amplitudes
@@ -112,8 +111,8 @@ def _inputs(a_sq: float, b_sq: float) -> tuple[ModeParams, CoherentAmplitudes, C
 def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
     """Analytic evolution vs matrix exponential over the intensity grid.
 
-    The analytic grids have ``n_max + 2`` levels per axis, the size of the
-    oracle's space, so a flattened state is already in the oracle's basis.
+    The analytic grids have ``n_max + 2`` levels per axis from level 0, the
+    oracle's space, so a state of ``evolve`` is already in the oracle's basis.
     The worst point is named only past 16 eps, below which many points tie.
     """
     times = np.linspace(0.0, 2500.0, 64)
@@ -131,14 +130,14 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
             # one pass steps both states; exact has axes (time, state, basis)
             exact = evolve_exact_series(np.stack(psi0), h, times)
             for j, q0 in enumerate(pair):
-                for chunk, states in sweep(sub, q0, times):
-                    audit.record(reduced_qubit_density(states))
-                    for k, e, g in zip(range(chunk.start, chunk.stop), states.e_branch, states.g_branch):
-                        deficit = 1.0 - fidelity(np.concatenate([e.ravel(), g.ravel()]), exact[k, j])
-                        checked += 1
-                        if deficit > worst:
-                            worst = deficit
-                            worst_at = f"a_sq={a_sq}, b_sq={b_sq}, c_e={abs(q0.c_e):.3f}, t={times[k]:.1f}"
+                psi = evolve(sub, q0, times)
+                audit.record(reduced_qubit_density(psi))
+                for k, state in enumerate(psi):
+                    deficit = 1.0 - fidelity(state, exact[k, j])
+                    checked += 1
+                    if deficit > worst:
+                        worst = deficit
+                        worst_at = f"a_sq={a_sq}, b_sq={b_sq}, c_e={abs(q0.c_e):.3f}, t={times[k]:.1f}"
     return CheckResult(
         name="oracle-equivalence-single",
         passed=worst <= FIDELITY_DEFICIT,
@@ -209,10 +208,14 @@ def _trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
-    """Local-map composition vs the four-mode joint oracle."""
+    """Local-map composition vs the four-mode joint oracle.
+
+    At intensity 1 every point sits at the n_max = 12 truncation offset, so
+    the detail counts the points within 1% of the worst and names the first
+    of them in loop order rather than one of the tied points.
+    """
     n_max = 12
-    worst = 0.0
-    worst_at = ""
+    points = []  # (trace distance, kind, intensity, time) in loop order
     for kind in ("phi", "psi"):
         spec = BellSpec(kind, 2.0 ** -0.5, 2.0 ** -0.5)
         rho0 = bell_state(spec)
@@ -225,17 +228,19 @@ def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
             audit.record(via_map)
             via_oracle = two_subsystem_oracle(spec, p, n_max, times)
             audit.record(via_oracle)
-            for k, t in enumerate(times):
-                td = _trace_distance(via_map[k], via_oracle[k])
-                if td > worst:
-                    worst = td
-                    worst_at = f"{kind}, intensity={intensity}, t={t:.1f}"
+            points += [(_trace_distance(a, b), kind, intensity, t) for a, b, t in zip(via_map, via_oracle, times)]
+    worst = max(td for td, *_ in points)
+    tied = [point for point in points if point[0] >= 0.99 * worst]
+    _, kind, intensity, t = tied[0]
     return CheckResult(
         name="two-qubit-map-validation",
         passed=worst <= 1e-6,
         measured=f"worst trace distance {worst:.3e}",
         bound="<= 1e-06",
-        detail=worst_at,
+        detail=(
+            f"{len(tied)} of {len(points)} points within 1% of the worst, "
+            f"first {kind}, intensity={intensity}, t={t:.1f}"
+        ),
     )
 
 

@@ -50,9 +50,11 @@ def norm_sq(state):
     return np.trace(reduced_qubit_density(state), axis1=-2, axis2=-1).real
 
 
-def pack_state(state):
-    """Flatten analytic grids into the oracle's basis ordering."""
-    return np.concatenate([state.e_branch.reshape(-1), state.g_branch.reshape(-1)])
+def branches(psi, sub):
+    """The excited and ground branches of a state of ``evolve`` as grids of
+    ``sub``, behind the state's time axis if it has one."""
+    shape = psi.shape[:-2] + sub.weights.shape
+    return psi[..., 0, :].reshape(shape), psi[..., 1, :].reshape(shape)
 
 
 def oracle_state(q0, p, wa, wb, t):
@@ -78,21 +80,23 @@ def oracle_reduced_density(psi, n_levels_a, n_levels_b):
 
 def test_coefficients_at_time_zero():
     p, wa, wb = default_params()
-    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, 0.0)
-    from_g = evolve(vibrating_subsystem(p, wa, wb), GROUND, 0.0)
+    sub = vibrating_subsystem(p, wa, wb)
+    e_from_e, g_from_e = branches(evolve(sub, EXCITED, 0.0), sub)
+    e_from_g, g_from_g = branches(evolve(sub, GROUND, 0.0), sub)
     for m, n in ((0, 0), (1, 2), (5, 3)):
-        assert from_e.e_branch[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # a
-        assert from_g.g_branch[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # c
-        assert from_g.e_branch[m, n] == 0.0  # b
-        assert from_e.g_branch[m, n] == 0.0  # d
+        assert e_from_e[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # a
+        assert g_from_g[m, n] == pytest.approx(wa.weights[m] * wb.weights[n])  # c
+        assert e_from_g[m, n] == 0.0  # b
+        assert g_from_e[m, n] == 0.0  # d
 
 
 def test_lowering_coefficient_dark_for_empty_mode():
     # |g, m, n> with an empty mode cannot have come from any excited state
     p, wa, wb = default_params()
-    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, 37.0)
+    sub = vibrating_subsystem(p, wa, wb)
+    _, g_from_e = branches(evolve(sub, EXCITED, 37.0), sub)
     for m, n in ((0, 0), (0, 3), (3, 0)):
-        assert from_e.g_branch[m, n] == 0.0  # d
+        assert g_from_e[m, n] == 0.0  # d
 
 
 def test_coefficient_values_against_oracle_amplitudes():
@@ -102,10 +106,9 @@ def test_coefficient_values_against_oracle_amplitudes():
     flat_e = (0 * (wa.n_max + 2) + m) * (wb.n_max + 2) + n
     flat_g = (1 * (wa.n_max + 2) + m) * (wb.n_max + 2) + n
 
-    from_e = evolve(vibrating_subsystem(p, wa, wb), EXCITED, t)
-    from_g = evolve(vibrating_subsystem(p, wa, wb), GROUND, t)
-    a, d = from_e.e_branch[m, n], from_e.g_branch[m, n]
-    b, c = from_g.e_branch[m, n], from_g.g_branch[m, n]
+    sub = vibrating_subsystem(p, wa, wb)
+    a, d = (x[m, n] for x in branches(evolve(sub, EXCITED, t), sub))
+    b, c = (x[m, n] for x in branches(evolve(sub, GROUND, t), sub))
     psi_e = oracle_state(EXCITED, p, wa, wb, t)
     psi_g = oracle_state(GROUND, p, wa, wb, t)
     # the oracle's initial state is renormalized; undo that for amplitudes
@@ -122,28 +125,32 @@ def test_coefficient_values_against_oracle_amplitudes():
 def test_ground_vacuum_is_stationary():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
+    sub = vibrating_subsystem(p, w, w)
     for t in (0.0, 13.0, 400.0):
-        s = evolve(vibrating_subsystem(p, w, w), GROUND, t)
-        assert s.g_branch[0, 0] == pytest.approx(1.0)
-        assert np.max(np.abs(s.e_branch)) == 0.0
+        e, g = branches(evolve(sub, GROUND, t), sub)
+        assert g[0, 0] == pytest.approx(1.0)
+        assert np.max(np.abs(e)) == 0.0
 
 
 def test_vacuum_rabi_pair():
     # |e, 0, 0> <-> |g, 1, 1> is an isolated two-level rotation
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
+    sub = vibrating_subsystem(p, w, w)
     for t in (0.0, 7.0, 60.0):
-        s = evolve(vibrating_subsystem(p, w, w), EXCITED, t)
+        psi = evolve(sub, EXCITED, t)
+        e, g = branches(psi, sub)
         theta = p.rabi_rate * t
-        assert s.e_branch[0, 0] == pytest.approx(math.cos(theta), abs=1e-12)
-        assert s.g_branch[1, 1] == pytest.approx(-1j * math.sin(theta), abs=1e-12)
-        assert norm_sq(s) == pytest.approx(1.0, abs=1e-12)
+        assert e[0, 0] == pytest.approx(math.cos(theta), abs=1e-12)
+        assert g[1, 1] == pytest.approx(-1j * math.sin(theta), abs=1e-12)
+        assert norm_sq(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grids_extend_one_level_past_truncation():
     p, wa, wb = default_params()
-    s = evolve(vibrating_subsystem(p, wa, wb), BALANCED, 11.0)
-    assert s.e_branch.shape == (wa.n_max + 2, wb.n_max + 2)
+    sub = vibrating_subsystem(p, wa, wb)
+    assert sub.weights.shape == (wa.n_max + 2, wb.n_max + 2)
+    assert evolve(sub, BALANCED, 11.0).shape == (2, (wa.n_max + 2) * (wb.n_max + 2))
 
 
 def test_norm_deficit_is_static_truncation_tail():
@@ -159,14 +166,14 @@ def test_norm_deficit_is_static_truncation_tail():
 def test_fidelity_against_oracle_balanced():
     p, wa, wb = default_params()
     for t in (2.0 / p.rabi_rate, 500.0, 2500.0):
-        analytic = pack_state(evolve(vibrating_subsystem(p, wa, wb), BALANCED, t))
+        analytic = evolve(vibrating_subsystem(p, wa, wb), BALANCED, t)
         exact = oracle_state(BALANCED, p, wa, wb, t)
         assert fidelity(analytic, exact) >= 1.0 - 1e-8
 
 
 def test_fidelity_against_oracle_large_intensity():
     p, wa, wb = default_params(alpha_sq=4.0, beta_sq=4.0)
-    analytic = pack_state(evolve(vibrating_subsystem(p, wa, wb), EXCITED, 300.0))
+    analytic = evolve(vibrating_subsystem(p, wa, wb), EXCITED, 300.0)
     exact = oracle_state(EXCITED, p, wa, wb, 300.0)
     assert fidelity(analytic, exact) >= 1.0 - 1e-10
 
@@ -211,6 +218,23 @@ def test_time_past_double_phase_rejected():
         near = 0.99 * limit
         assert abs(norm_sq(evolve(sub, BALANCED, near)) - 1.0) < 1e-9
         assert np.all(np.isfinite(single_qubit_map(sub, near)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+def test_phase_holds_just_below_the_time_limit():
+    # at 0.99 of the limit the largest angle may lose about _PHASE_TOL rad;
+    # against angles taken in long double the state still meets the oracle
+    # bound, which a looser _PHASE_TOL would not
+    p, wa, wb = default_params(alpha_sq=4.0, beta_sq=4.0)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
+        t = 0.99 * dynamics._PHASE_TOL / np.finfo(float).eps / (sub.rate * sub.freqs[-1])
+        theta = np.longdouble(sub.rate) * np.longdouble(t) * sub.freqs.astype(np.longdouble) % two_pi
+        cos, sin = (f(theta).astype(float)[None] for f in (np.cos, np.sin))
+        reference = dynamics._coefficients(BALANCED) @ dynamics._rotate_blocks(sub, cos, sin).reshape(4, -1)
+        # one time, and the last of a uniform grid, reached by stepped phases
+        for psi in (evolve(sub, BALANCED, t), evolve(sub, BALANCED, np.linspace(0.0, t, 1001))[-1]):
+            assert 1.0 - fidelity(psi, reference) <= 1e-8
 
 
 def test_mismatched_weights_rejected():
@@ -290,9 +314,10 @@ def test_stationary_excited_vacuum_is_rabi():
 def test_stationary_ground_vacuum_is_dark():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    s = evolve(stationary_subsystem(p, w), GROUND, 5.0)
-    assert s.g_branch[0] == pytest.approx(1.0)
-    assert np.max(np.abs(s.e_branch)) == 0.0
+    sub = stationary_subsystem(p, w)
+    e, g = branches(evolve(sub, GROUND, 5.0), sub)
+    assert g[0] == pytest.approx(1.0)
+    assert np.max(np.abs(e)) == 0.0
 
 
 def test_stationary_against_jaynes_cummings_oracle():
@@ -311,8 +336,7 @@ def test_stationary_against_jaynes_cummings_oracle():
 
     for t in (1.0, 7.5, 30.0):
         exact = expm_multiply((-1j * t) * h, psi0)
-        s = evolve(stationary_subsystem(p, wb), EXCITED, t)
-        analytic = np.concatenate([s.e_branch, s.g_branch])
+        analytic = evolve(stationary_subsystem(p, wb), EXCITED, t)
         assert fidelity(analytic, exact) >= 1.0 - 1e-10
 
 
@@ -368,11 +392,11 @@ def test_windowed_grid_matches_oracle_on_full_grid():
     exact = evolve_exact_series(np.stack(psi0), h, times)  # (time, state, basis)
     sub = vibrating_subsystem(p, w, w)
     for j, q0 in enumerate(pair):
-        s = evolve(sub, q0, times)
+        psi = evolve(sub, q0, times)
         # unitary on the padded window: the norm deficit stays the static tail
-        assert np.allclose(norm_sq(s), (1.0 - w.tail_mass) ** 2, rtol=0.0, atol=1e-13)
-        full = np.stack([embed(s.e_branch, s.origin, levels), embed(s.g_branch, s.origin, levels)], 1)
-        rho = reduced_qubit_density(s)
+        assert np.allclose(norm_sq(psi), (1.0 - w.tail_mass) ** 2, rtol=0.0, atol=1e-13)
+        full = np.stack([embed(x, sub.origin, levels) for x in branches(psi, sub)], 1)
+        rho = reduced_qubit_density(psi)
         # amplitude by amplitude too: from a balanced qubit the level below
         # the window fills from the ground state at the window's lowest level,
         # at about 1e-7 here, far below what the fidelity bound resolves
@@ -410,9 +434,9 @@ def test_windowed_stationary_matches_oracle():
     h_op = SimpleNamespace(dimension=2 * levels, matrix=h)  # all evolve_exact_series reads
     times = np.linspace(0.0, 30.0, 7)
     exact = evolve_exact_series(psi0, h_op, times)
-    s = evolve(stationary_subsystem(p, wb), BALANCED, times)
-    assert s.origin == (wb.n_min - 1,)
-    full = np.stack([embed(s.e_branch, s.origin, (levels,)), embed(s.g_branch, s.origin, (levels,))], 1)
+    sub = stationary_subsystem(p, wb)
+    assert sub.origin == (wb.n_min - 1,)
+    full = np.stack([embed(x, sub.origin, (levels,)) for x in branches(evolve(sub, BALANCED, times), sub)], 1)
     for k in range(times.size):
         assert 1.0 - fidelity(full[k], exact[k]) <= 1e-8
 
@@ -524,6 +548,11 @@ def direct_tables(sub, times):
     return np.stack([trig[:, index] * weight for trig, index, weight in factors], axis=1)
 
 
+def tables(sub, times):
+    """The basis tables of every time, built chunk by chunk of the walk."""
+    return np.concatenate([dynamics._rotate_blocks(sub, cos, sin) for _, cos, sin in dynamics._phases(sub, times)])
+
+
 def walk(sub, times):
     """The walk's cos and sin of every time, stacked."""
     parts = list(dynamics._phases(sub, times))
@@ -560,9 +589,9 @@ def test_tables_of_non_uniform_grids_are_direct():
     for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
         # a power law, one time off the step, and a reversed grid stretched by 1e-9 t
         for times in (uniform**1.5 / 30.0, np.r_[uniform[:-1], 901.0], uniform[::-1] * (1 + 1e-9 * uniform[::-1])):
-            assert np.array_equal(evolve(sub, BALANCED, times).tables, direct_tables(sub, times))
+            assert np.array_equal(tables(sub, times), direct_tables(sub, times))
         # a uniform grid: the reseeds are the direct tables too
-        stepped = evolve(sub, BALANCED, uniform).tables
+        stepped = tables(sub, uniform)
         seeds = slice(None, None, dynamics.RESEED)
         assert np.array_equal(stepped[seeds], direct_tables(sub, uniform[seeds]))
         assert np.allclose(stepped, direct_tables(sub, uniform), rtol=0.0, atol=1e-12)
@@ -574,18 +603,18 @@ def test_walk_is_the_same_whatever_the_cut(monkeypatch):
     tilted = QubitAmplitudes(0.6, 0.8j)
     for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
         two_modes = sub.weights.ndim == 2  # moments need both modes
-        whole = evolve(sub, BALANCED, times).tables
+        whole = tables(sub, times)
+        psi = evolve(sub, BALANCED, times)
         cos, sin = walk(sub, times)
         process = single_qubit_map(sub, times)
         moments = dataclasses.astuple(mode_moments(sub, tilted, times)) if two_modes else ()
         # chunks of 5 times straddle every reseed but the first
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 5 * 4 * sub.weights.nbytes)
         assert np.array_equal(np.concatenate(walk(sub, times)), np.concatenate([cos, sin]))
-        states = list(dynamics.sweep(sub, BALANCED, times))
-        assert [chunk.stop - chunk.start for chunk, _ in states][:-1] == [5] * 39
-        assert all(np.array_equal(state.time, times[chunk]) for chunk, state in states)
-        assert np.array_equal(np.concatenate([state.tables for _, state in states]), whole)
-        assert np.array_equal(evolve(sub, BALANCED, times).tables, whole)
+        chunks = [chunk for chunk, _, _ in dynamics._phases(sub, times)]
+        assert [chunk.stop - chunk.start for chunk in chunks][:-1] == [5] * 39
+        assert np.array_equal(tables(sub, times), whole)
+        assert np.array_equal(evolve(sub, BALANCED, times), psi)
         assert np.array_equal(single_qubit_map(sub, times), process)
         if two_modes:
             cut = dataclasses.astuple(mode_moments(sub, tilted, times))
@@ -610,7 +639,8 @@ def test_binned_diagonal_gram_matches_the_grid():
     for sub in subs:
         bins = dynamics._bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
         for _, cos, sin in dynamics._phases(sub, np.linspace(0.0, 900.0, 37)):
-            gram = dynamics._gram(dynamics._rotate_blocks(sub, cos, sin))
+            x = dynamics._rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
+            gram = x @ x.transpose(0, 2, 1)
             binned = (dynamics._trig_rows(cos, sin) @ bins)[:, :, 0]
             assert np.allclose(binned, gram[:, rows, cols], rtol=0.0, atol=1e-14)
 

@@ -140,12 +140,12 @@ def test_moment_bounds(t):
     assert sample.joint_mean >= 0.0
 
 
-def grid_moments(state):
-    """n_a, n_b, joint and cross correlation of an evolved state (T times),
-    summed over its coefficient grids with absolute Fock levels: the
-    grid-by-grid reference of the per-frequency sums."""
-    prob = np.abs(state.e_branch) ** 2 + np.abs(state.g_branch) ** 2
-    m, n = (o + np.arange(k, dtype=float) for o, k in zip(state.origin, prob.shape[1:]))
+def grid_moments(psi, sub):
+    """n_a, n_b, joint and cross correlation of a state of ``evolve(sub, ...)``
+    (T times), summed over its coefficient grids with absolute Fock levels:
+    the grid-by-grid reference of the per-frequency sums."""
+    prob = (np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2).reshape(psi.shape[:1] + sub.weights.shape)
+    m, n = (o + np.arange(k, dtype=float) for o, k in zip(sub.origin, sub.weights.shape))
     total = prob.sum(axis=(1, 2))
     n_a = np.einsum("tmn,m->t", prob, m) / total
     n_b = np.einsum("tmn,n->t", prob, n) / total
@@ -168,7 +168,7 @@ def test_binned_moments_match_the_grid(a_sq, b_sq, times):
     assert (sub.origin == (0, 0)) == (a_sq < 100.0)
     for q0 in (EXCITED, BALANCED, TILTED):
         sample = mode_moments(sub, q0, times)
-        n_a, n_b, joint, cross = grid_moments(evolve(sub, q0, times))
+        n_a, n_b, joint, cross = grid_moments(evolve(sub, q0, times), sub)
         for got, want in ((sample.n_a_mean, n_a), (sample.n_b_mean, n_b), (sample.joint_mean, joint)):
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
         # a difference of two terms of size joint

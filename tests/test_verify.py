@@ -1,8 +1,8 @@
 """Unit tests for the verification plumbing itself.
 
 The full suite is exercised end-to-end by the acceptance tests; here we pin
-the report formatting, the density auditor, and how ``run_all`` calls and
-times the checks.
+the report formatting, the density auditor, how ``run_all`` calls and
+times the checks, and the two-qubit map's detail line.
 """
 from __future__ import annotations
 
@@ -105,3 +105,12 @@ class TestOraclePasses:
         result = getattr(verify, f"check_{check}")(DensityAuditor())
         assert result.passed, result.line()
         assert len(calls) == passes
+
+
+def test_two_qubit_map_detail_names_no_arbitrary_tied_point(results):
+    # at intensity 1 all 32 points sit at the n_max = 12 truncation offset,
+    # within 1e-5 relative of each other; the detail counts them and names
+    # the first in loop order, so rounding cannot pick another
+    assert results["two-qubit-map-validation"].detail == (
+        "32 of 64 points within 1% of the worst, first phi, intensity=1.0, t=0.0"
+    )
