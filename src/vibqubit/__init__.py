@@ -25,7 +25,7 @@ from .dynamics import (
     vibrating_subsystem,
 )
 from .errors import ParameterError, ResourceError
-from .fock import CoherentAmplitudes, choose_truncation, coherent_amplitudes
+from .fock import CoherentAmplitudes, coherent_amplitudes, windowed_amplitudes
 from .observables import CorrelationSample, l1_coherence, mode_moments
 from .scenarios import (
     ALL_MODES,
@@ -53,7 +53,6 @@ __all__ = [
     "VIBRATING_MODES",
     "apply_map",
     "bell_state",
-    "choose_truncation",
     "coherent_amplitudes",
     "concurrence",
     "emit_plot_script",
@@ -69,4 +68,5 @@ __all__ = [
     "two_qubit_coherence",
     "upper_envelope",
     "vibrating_subsystem",
+    "windowed_amplitudes",
 ]

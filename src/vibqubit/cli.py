@@ -4,7 +4,8 @@ Each ``run`` flag but ``--out`` sets the :class:`~vibqubit.scenarios.Scenario`
 field its ``dest`` names; a flag left out keeps the field's default.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters
-(bad flags or values), 3 resource limit exceeded.
+(bad flags or values, or an ``--out`` that cannot be written), 3 resource
+limit exceeded.
 """
 from __future__ import annotations
 
@@ -68,7 +69,11 @@ def _build_scenario(args: argparse.Namespace) -> tuple[Scenario, str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario, out = _build_scenario(args)
     rows = run_scenario(scenario)
-    write_csv(scenario, rows, out)
+    try:
+        write_csv(scenario, rows, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

@@ -228,16 +228,16 @@ def _times(t: float | np.ndarray) -> np.ndarray:
     return times
 
 
-def _shift(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
+def _shift(x: np.ndarray, k: int) -> np.ndarray:
     """``x`` moved by ``k`` = +1 or -1 along every axis.
 
-    ``out[i] = x[i + k]``, and ``fill`` where ``i + k`` is off the grid.
+    ``out[i] = x[i + k]``, and 0 where ``i + k`` is off the grid.
     """
     src = (slice(1, None),) * x.ndim
     dst = (slice(None, -1),) * x.ndim
     if k < 0:
         src, dst = dst, src
-    out = np.full_like(x, fill)
+    out = np.zeros_like(x)
     out[dst] = x[src]
     return out
 

@@ -5,10 +5,13 @@ start in coherent states with real, non-negative amplitude.  Everything
 downstream works on truncated number-state grids, so this module owns the
 two decisions that make truncation safe: how the weights are generated
 (a stable recurrence instead of explicit factorials) and where the grid is
-cut.  :func:`choose_truncation` cuts ``[0, n_max]``, the grid the oracle
-works on; :func:`choose_window` cuts the narrowest window ``[n_min, n_max]``
-whose two Poisson tails together stay below the tolerance, which starts
-above level 0 once ``exp(-mean)`` does, from a mean of about 27.6 at 1e-12.
+cut.  One Poisson pass, seeded at the mode in log space, feeds both cuts.
+:func:`choose_window` cuts the narrowest window ``[n_min, n_max]`` whose two
+Poisson tails together stay below the tolerance; it starts at level 0 below
+a mean of about 27.6 at 1e-12, and above level 0 once ``exp(-mean)`` falls
+below the tolerance.  :func:`windowed_amplitudes` builds the weights on that
+window and is the one way the package builds a coherent input from a
+tolerance.  :func:`choose_truncation` cuts ``[0, n_max]`` from the same pass.
 
 Weights are deliberately *not* renormalized after truncation; the dropped
 tail mass is recorded instead, so norm checks downstream report truncation
@@ -129,71 +132,54 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
     )
 
 
-def _check_tail_inputs(mean_excitation: float, tail_tol: float) -> None:
-    if not math.isfinite(mean_excitation) or mean_excitation < 0:
-        raise ParameterError(f"mean excitation must be finite and >= 0, got {mean_excitation!r}")
+def _poisson_terms(mean_excitation: float, tail_tol: float) -> tuple[int, np.ndarray]:
+    """The one Poisson pass both cuts read: ``(lo, p)``, with ``p[i]`` the
+    Poisson term of level ``lo + i``, after checking both inputs.
+
+    The terms are seeded at the mode ``floor(mean)`` in log space and run
+    outward by their recurrences as far as any double-precision tail above
+    about 1e-300 can live, so the mean has no upper limit.  A mean of 0 is
+    the point mass at level 0, since :func:`_log_poisson` needs mean > 0.
+    """
+    x = mean_excitation
+    if not math.isfinite(x) or x < 0:
+        raise ParameterError(f"mean excitation must be finite and >= 0, got {x!r}")
     if not (0.0 < tail_tol < 1.0):
         raise ParameterError(f"tail tolerance must lie in (0, 1), got {tail_tol!r}")
+    if x == 0.0:
+        return 0, np.ones(1)
+    mode = math.floor(x)
+    reach = int(math.ceil(20.0 * math.sqrt(x) + 60.0))
+    lo = max(0, mode - reach)
+    p_mode = math.exp(_log_poisson(mode, x))
+    above = p_mode * np.cumprod(x / np.arange(mode + 1.0, mode + reach + 1.0))
+    below = p_mode * np.cumprod(np.arange(mode, lo, -1.0) / x)
+    return lo, np.concatenate([below[::-1], [p_mode], above])  # levels lo .. mode + reach
 
 
 def choose_truncation(mean_excitation: float, tail_tol: float) -> int:
-    """Smallest ``n_max`` whose Poisson tail mass is below ``tail_tol``.
+    """Smallest ``n_max >= MIN_LEVELS`` whose Poisson tail above it is below
+    ``tail_tol``: the full-grid cut ``[0, n_max]``.
 
-    The tail beyond each candidate cut is obtained by direct summation of
-    Poisson terms (summed smallest-first to avoid cancellation).  Never
-    returns less than ``MIN_LEVELS``.
-
-    Raises ``ParameterError`` for a mean past about 708.4, where the seed
-    ``exp(-mean)`` of the Poisson recurrence is no longer a normal double:
-    the tails lose precision there and, from about 745, underflow to zero,
-    which would put the cut at ``MIN_LEVELS`` and drop the whole state.
-    :func:`choose_window` has no such limit.
+    No module of the package calls it: sweeps, ``verify`` and the test
+    helpers take :func:`windowed_amplitudes`.  It stays for one reason only,
+    ``perfbench/gate.py`` imports it and ``perfbench/spans.py`` traces it.
     """
-    _check_tail_inputs(mean_excitation, tail_tol)
-    p0 = math.exp(-mean_excitation)
-    tiny = np.finfo(float).tiny
-    if p0 < tiny:
-        raise ParameterError(
-            f"mean excitation {mean_excitation!r} exceeds the double-precision limit "
-            f"{-math.log(tiny):.1f}, past which exp(-mean) underflows"
-        )
-
-    # Generous upper bound: far beyond where any double-precision tail
-    # above ~1e-300 can live.
-    k_hi = int(math.ceil(mean_excitation + 20.0 * math.sqrt(mean_excitation) + 60.0))
-    p = np.empty(k_hi + 1)
-    p[0] = p0
-    for k in range(k_hi):
-        p[k + 1] = p[k] * mean_excitation / (k + 1.0)
-    # tails[n] = sum_{k > n} p[k], accumulated from the small end.
-    tails = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])
-    n = int(np.argmax(tails < tail_tol))
-    return max(n, MIN_LEVELS)
+    lo, p = _poisson_terms(mean_excitation, tail_tol)
+    upper = np.concatenate([np.cumsum(p[::-1])[::-1][1:], [0.0]])  # as in choose_window
+    return max(lo + int(np.argmax(upper < tail_tol)), MIN_LEVELS)
 
 
 def choose_window(mean_excitation: float, tail_tol: float) -> tuple[int, int]:
     """Narrowest window ``(n_min, n_max)`` whose two Poisson tails, the mass
     below ``n_min`` and above ``n_max``, sum to less than ``tail_tol``.
 
-    While ``exp(-mean) >= tail_tol`` even level 0 alone holds too much mass
-    to drop, so the window is ``(0, choose_truncation(mean, tail_tol))``.
-    Past that the Poisson terms are seeded at the mode ``floor(mean)`` in
-    log space and run outward by their recurrences; the window then keeps
-    at least ``MIN_LEVELS + 1`` levels and has no upper limit on the mean.
+    While ``exp(-mean) >= tail_tol`` (below a mean of about 27.6 at 1e-12)
+    level 0 alone holds too much mass to drop, so the window starts at
+    level 0.  It keeps at least ``MIN_LEVELS + 1`` levels; a mean of 0 gives
+    ``(0, MIN_LEVELS)``.
     """
-    _check_tail_inputs(mean_excitation, tail_tol)
-    if math.exp(-mean_excitation) >= tail_tol:
-        return 0, choose_truncation(mean_excitation, tail_tol)
-
-    x = mean_excitation
-    mode = math.floor(x)
-    # as in choose_truncation: no double-precision tail above ~1e-300 lives further out
-    reach = int(math.ceil(20.0 * math.sqrt(x) + 60.0))
-    lo = max(0, mode - reach)
-    p_mode = math.exp(_log_poisson(mode, x))
-    above = p_mode * np.cumprod(x / np.arange(mode + 1.0, mode + reach + 1.0))
-    below = p_mode * np.cumprod(np.arange(mode, lo, -1.0) / x)
-    p = np.concatenate([below[::-1], [p_mode], above])  # levels lo .. mode + reach
+    lo, p = _poisson_terms(mean_excitation, tail_tol)
     # lower[i] = sum_{k < lo + i} p and upper[i] = sum_{k > lo + i} p, each
     # accumulated from its small end
     lower = np.concatenate([[0.0], np.cumsum(p)[:-1]])

@@ -107,8 +107,8 @@ def coherent_product_state(
     q0: QubitAmplitudes,
     wa: CoherentAmplitudes,
     wb: CoherentAmplitudes,
-    n_max_a: int | None = None,
-    n_max_b: int | None = None,
+    n_max_a: int,
+    n_max_b: int,
 ) -> np.ndarray:
     """State vector of ``(c_e |e> + c_g |g>) (x) |alpha> (x) |beta>``.
 
@@ -118,8 +118,6 @@ def coherent_product_state(
     The truncated product is renormalized to unit norm so it satisfies the
     propagator contract.
     """
-    n_max_a = wa.n_max if n_max_a is None else n_max_a
-    n_max_b = wb.n_max if n_max_b is None else n_max_b
     if n_max_a < wa.n_max or n_max_b < wb.n_max:
         raise ParameterError("target space is smaller than the populated weight grids")
     grid = np.zeros((n_max_a + 1, n_max_b + 1))

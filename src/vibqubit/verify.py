@@ -5,7 +5,8 @@ a :class:`DensityAuditor` that inspects every density matrix any of them
 produces, so the final invariant check covers every sampled point rather
 than a separate hand-picked set.
 
-Every check truncates its coherent inputs at the one tail tolerance
+Every check builds its coherent inputs with
+:func:`~vibqubit.fock.windowed_amplitudes` at the one tail tolerance
 :data:`TAIL_TOL` (only the two-qubit map check pins its grid size), and
 the oracle agreement is held to :data:`FIDELITY_DEFICIT`.  :func:`run_all`
 runs the checks in report order and times each call.
@@ -38,7 +39,7 @@ from .dynamics import (
     stationary_subsystem,
     vibrating_subsystem,
 )
-from .fock import CoherentAmplitudes, choose_truncation, coherent_amplitudes
+from .fock import CoherentAmplitudes, coherent_amplitudes, windowed_amplitudes
 from .observables import l1_coherence, mode_moments
 from .oracle import (
     build_red_sideband,
@@ -101,19 +102,21 @@ class DensityAuditor:
 
 def _inputs(a_sq: float, b_sq: float) -> tuple[ModeParams, CoherentAmplitudes, CoherentAmplitudes]:
     """Mode parameters and both coherent weight sets at intensities
-    (alpha_sq, beta_sq), truncated at :data:`TAIL_TOL`."""
+    (alpha_sq, beta_sq), on the windows of :data:`TAIL_TOL`.  Every
+    intensity verify uses lies below 27.6, so each window starts at level 0."""
     p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
-    wa = coherent_amplitudes(p.alpha_mag, choose_truncation(a_sq, TAIL_TOL))
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, TAIL_TOL))
-    return p, wa, wb
+    return p, windowed_amplitudes(a_sq, TAIL_TOL), windowed_amplitudes(b_sq, TAIL_TOL)
 
 
 def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
     """Analytic evolution vs matrix exponential over the intensity grid.
 
-    The analytic grids have ``n_max + 2`` levels per axis from level 0, the
-    oracle's space, so a state of ``evolve`` is already in the oracle's basis.
-    The worst point is named only past 16 eps, below which many points tie.
+    Every window of :func:`_inputs` starts at level 0, so the analytic grids
+    have ``n_max + 2`` levels per axis from level 0, the oracle's space, and
+    a state of ``evolve`` is already in the oracle's basis; a window above
+    level 0 would give a shorter state, and ``fidelity`` raises on the
+    mismatch.  The worst point is named only past 16 eps, below which many
+    points tie.
     """
     times = np.linspace(0.0, 2500.0, 64)
     rounding = 16 * np.finfo(float).eps

@@ -40,9 +40,8 @@ import pytest
 from vibqubit import (
     ModeParams,
     QubitAmplitudes,
-    choose_truncation,
-    coherent_amplitudes,
     upper_envelope,
+    windowed_amplitudes,
 )
 from vibqubit.oracle import build_red_sideband, coherent_product_state, evolve_exact_series
 
@@ -81,8 +80,8 @@ def _oracle_process_matrices(beta_sq: float, times: np.ndarray, tail_tol: float)
     modes of ``|phi_i><phi_j|``.
     """
     p = ModeParams(alpha_mag=1.0, beta_mag=math.sqrt(beta_sq))
-    wa = coherent_amplitudes(p.alpha_mag, choose_truncation(1.0, tail_tol))
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(beta_sq, tail_tol))
+    wa = windowed_amplitudes(1.0, tail_tol)
+    wb = windowed_amplitudes(beta_sq, tail_tol)
     n_a, n_b = wa.n_max + 1, wb.n_max + 1
     h = build_red_sideband(p, n_a, n_b)
     basis = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))

@@ -134,6 +134,18 @@ def test_intensity_past_the_grid_limit_exits_three(tmp_path, capsys):
     assert "14264 x 14264 levels needs 1627693568 bytes" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a missing directory and a directory: an error line, no traceback, exit 2
+    for out, reason in ((tmp_path / "no" / "such" / "x.csv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert run_cli("run", "--mode", "single-coherence", "--steps", "3", "--t-max", "10",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "no").exists()
+
+
 def test_ce_requires_cg(tmp_path):
     code = run_cli(
         "run", "--mode", "single-coherence", "--ce", "1,0",

@@ -9,13 +9,13 @@ from vibqubit import (
     ModeParams,
     ParameterError,
     bell_state,
-    choose_truncation,
     coherent_amplitudes,
     concurrence,
     evolve_two_qubit,
     single_qubit_map,
     two_qubit_coherence,
     vibrating_subsystem,
+    windowed_amplitudes,
 )
 from vibqubit.oracle import two_subsystem_oracle
 
@@ -24,8 +24,8 @@ HALF = 2.0**-0.5
 
 def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0, tail_tol=1e-12):
     p = ModeParams(alpha_mag=math.sqrt(alpha_sq), beta_mag=math.sqrt(beta_sq))
-    wa = coherent_amplitudes(p.alpha_mag, choose_truncation(alpha_sq, tail_tol))
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(beta_sq, tail_tol))
+    wa = windowed_amplitudes(alpha_sq, tail_tol)
+    wb = windowed_amplitudes(beta_sq, tail_tol)
     return single_qubit_map(vibrating_subsystem(p, wa, wb), t)
 
 

@@ -13,7 +13,6 @@ from vibqubit import (
     ParameterError,
     QubitAmplitudes,
     apply_map,
-    choose_truncation,
     coherent_amplitudes,
     dynamics,
     evolve,
@@ -40,8 +39,8 @@ GROUND = QubitAmplitudes(0.0, 1.0)
 
 def default_params(alpha_sq=1.0, beta_sq=1.0):
     p = ModeParams(alpha_mag=math.sqrt(alpha_sq), beta_mag=math.sqrt(beta_sq))
-    wa = coherent_amplitudes(p.alpha_mag, choose_truncation(alpha_sq, 1e-12))
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(beta_sq, 1e-12))
+    wa = windowed_amplitudes(alpha_sq, 1e-12)
+    wb = windowed_amplitudes(beta_sq, 1e-12)
     return p, wa, wb
 
 
@@ -323,7 +322,7 @@ def test_stationary_ground_vacuum_is_dark():
 def test_stationary_against_jaynes_cummings_oracle():
     beta_sq = 4.0
     p = ModeParams(alpha_mag=0.0, beta_mag=math.sqrt(beta_sq))
-    wb = coherent_amplitudes(p.beta_mag, choose_truncation(beta_sq, 1e-12))
+    wb = windowed_amplitudes(beta_sq, 1e-12)
     n_levels = wb.n_max + 2
     h = build_jaynes_cummings(p.kappa, n_levels - 1)
 

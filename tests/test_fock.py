@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibqubit import ParameterError, choose_truncation, coherent_amplitudes
-from vibqubit.fock import MIN_LEVELS, choose_window, windowed_amplitudes
+from vibqubit import ParameterError, coherent_amplitudes
+from vibqubit.fock import MIN_LEVELS, choose_truncation, choose_window, windowed_amplitudes
 
 EPS = float(np.finfo(float).eps)
 
@@ -92,8 +92,9 @@ def test_frozen_truncation_table():
 
 
 def test_truncation_is_smallest_sufficient_cut():
-    # 708 sits just below the double-precision limit of exp(-mean)
-    for mean in (0.5, 1.0, 3.0, 10.0, 708.0):
+    # exp(-mean) is subnormal from 708.4 and zero from 745; the pass is
+    # seeded at the mode, so the cut holds past both
+    for mean in (0.5, 1.0, 3.0, 10.0, 708.0, 709.0, 800.0, 1400.0):
         n = choose_truncation(mean, 1e-12)
         assert poisson_tail(mean, n) < 1e-12
         if n > MIN_LEVELS:
@@ -118,10 +119,6 @@ def test_parameter_errors():
         choose_truncation(1.0, 0.0)
     with pytest.raises(ParameterError):
         choose_truncation(1.0, 1.0)
-    # exp(-mean) is subnormal from 708.4 and zero from 745
-    for mean in (709.0, 800.0):
-        with pytest.raises(ParameterError):
-            choose_truncation(mean, 1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -156,9 +153,10 @@ def test_window_is_narrowest_below_tolerance(mean, tol):
 
 
 def test_known_windows():
-    # lowest level kept goes above 0 once exp(-mean) < 1e-12, at mean 27.63
-    expected = {25.0: (0, 68), 27.6: (0, 72), 36.0: (3, 86), 66.7: (18, 132),
-                100.0: (37, 178), 150.0: (71, 244)}
+    # lowest level kept goes above 0 once exp(-mean) < 1e-12, at mean 27.63;
+    # 5e-324 is the smallest positive double, 0 the point mass at level 0
+    expected = {0.0: (0, MIN_LEVELS), 5e-324: (0, MIN_LEVELS), 25.0: (0, 68), 27.6: (0, 72),
+                36.0: (3, 86), 66.7: (18, 132), 100.0: (37, 178), 150.0: (71, 244)}
     for mean, window in expected.items():
         assert choose_window(mean, 1e-12) == window
 

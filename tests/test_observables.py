@@ -10,7 +10,6 @@ from vibqubit import (
     ModeParams,
     ParameterError,
     QubitAmplitudes,
-    choose_truncation,
     coherent_amplitudes,
     evolve,
     l1_coherence,
@@ -54,7 +53,7 @@ def test_l1_rejects_bad_input():
 
 def test_l1_tracks_evolved_qubit():
     p = ModeParams()
-    w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
+    w = windowed_amplitudes(1.0, 1e-12)
     sub = vibrating_subsystem(p, w, w)
     zeta0 = l1_coherence(reduced_qubit_density(evolve(sub, BALANCED, 0.0)))
     assert zeta0 == pytest.approx(1.0, abs=1e-12)
@@ -69,8 +68,8 @@ def test_cross_correlation_vanishes_at_time_zero():
     # the initial state is a product of the two modes, whatever the sizes
     for a_sq, b_sq in ((0.0, 0.0), (1.0, 1.0), (5.0, 5.0), (1.0, 4.0)):
         p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
-        wa = coherent_amplitudes(p.alpha_mag, choose_truncation(a_sq, 1e-12))
-        wb = coherent_amplitudes(p.beta_mag, choose_truncation(b_sq, 1e-12))
+        wa = windowed_amplitudes(a_sq, 1e-12)
+        wb = windowed_amplitudes(b_sq, 1e-12)
         sample = mode_moments(vibrating_subsystem(p, wa, wb), BALANCED, 0.0)
         assert abs(sample.cross_corr) < 1e-12
         # truncated <n> sits below the exact mean by about n_max * tail
@@ -95,7 +94,7 @@ def test_vacuum_rabi_moments_closed_form():
 
 def test_moments_match_oracle_operator_averages():
     p = ModeParams()
-    w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
+    w = windowed_amplitudes(1.0, 1e-12)
     t = 150.0
     sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
 
@@ -124,7 +123,7 @@ def test_g2_undefined_for_empty_modes():
 
 def test_g2_of_product_coherent_state_is_one():
     p = ModeParams()
-    w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
+    w = windowed_amplitudes(1.0, 1e-12)
     sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, 0.0)
     assert sample.g2 == pytest.approx(1.0, abs=1e-11)
 
@@ -133,7 +132,7 @@ def test_g2_of_product_coherent_state_is_one():
 @given(st.floats(min_value=0.0, max_value=2500.0, allow_nan=False))
 def test_moment_bounds(t):
     p = ModeParams()
-    w = coherent_amplitudes(1.0, choose_truncation(1.0, 1e-12))
+    w = windowed_amplitudes(1.0, 1e-12)
     sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
     assert 0.0 <= sample.n_a_mean <= w.n_max + 1
     assert 0.0 <= sample.n_b_mean <= w.n_max + 1

@@ -224,7 +224,7 @@ def test_block_input_validation():
 
 def test_unnormalized_product_state_rejected_by_contract():
     w = coherent_amplitudes(1.0, 14)
-    psi = coherent_product_state(BALANCED, w, w)
+    psi = coherent_product_state(BALANCED, w, w, 14, 14)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-14  # renormalized; the tail is 3e-13 per mode
     small_grid = coherent_amplitudes(2.0, 6)
     with pytest.raises(ParameterError):
