@@ -5,7 +5,7 @@ field its ``dest`` names; a flag left out keeps the field's default.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid parameters
 (bad flags or values, or an ``--out`` that cannot be written), 3 resource
-limit exceeded.
+limit exceeded (a grid past its byte limit, or out of memory).
 """
 from __future__ import annotations
 
@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mu", type=float, help="Bell weight mu (upsilon = sqrt(1 - mu^2))")
     run.add_argument("--t-max", type=float, help="sweep end time")
     run.add_argument("--steps", dest="n_steps", type=int, help="number of time samples")
-    run.add_argument("--tail-tol", type=float, help="coherent-state truncation tail tolerance")
     run.add_argument("--out", metavar="PATH", help="output CSV path (default <mode>.csv)")
 
     sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
@@ -104,6 +103,9 @@ def main(argv: list[str] | None = None) -> int:
             f"budget {exc.budget_bytes})",
             file=sys.stderr,
         )
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
 
 

@@ -76,17 +76,16 @@ def evolve_two_qubit(rho0: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (4, 4))
 
 
-def _as_density(rho, *, check: bool = True) -> np.ndarray:
+def _as_density(rho) -> np.ndarray:
     mat = np.asarray(rho, dtype=complex)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 density matrix or a stack of them, got shape {mat.shape}")
-    if check:
-        # written so that NaN entries fail too
-        if not np.all(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)) <= _HERMITIAN_TOL):
-            raise ParameterError("density matrix is not Hermitian within 1e-9")
-        trace = np.trace(mat, axis1=-2, axis2=-1)
-        if not np.all((np.abs(trace.real - 1.0) <= _TRACE_TOL) & (np.abs(trace.imag) <= _TRACE_TOL)):
-            raise ParameterError("density matrix trace differs from 1 beyond 1e-9")
+    # written so that NaN entries fail too
+    if not np.all(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)) <= _HERMITIAN_TOL):
+        raise ParameterError("density matrix is not Hermitian within 1e-9")
+    trace = np.trace(mat, axis1=-2, axis2=-1)
+    if not np.all((np.abs(trace.real - 1.0) <= _TRACE_TOL) & (np.abs(trace.imag) <= _TRACE_TOL)):
+        raise ParameterError("density matrix trace differs from 1 beyond 1e-9")
     return mat
 
 
@@ -114,5 +113,7 @@ def concurrence(rho) -> float | np.ndarray:
 
 def two_qubit_coherence(rho) -> float | np.ndarray:
     """l1 coherence of the 4x4 two-qubit density matrix (sum of |off-diag|),
-    one value per matrix of a (T, 4, 4) stack."""
-    return l1_coherence(_as_density(rho, check=False))
+    one value per matrix of a (T, 4, 4) stack.  Raises ``ParameterError``,
+    as :func:`concurrence` does, on a matrix that is not Hermitian or whose
+    trace differs from 1 beyond 1e-9."""
+    return l1_coherence(_as_density(rho))

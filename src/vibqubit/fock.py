@@ -11,7 +11,8 @@ Poisson tails together stay below the tolerance; it starts at level 0 below
 a mean of about 27.6 at 1e-12, and above level 0 once ``exp(-mean)`` falls
 below the tolerance.  :func:`windowed_amplitudes` builds the weights on that
 window and is the one way the package builds a coherent input from a
-tolerance.  :func:`choose_truncation` cuts ``[0, n_max]`` from the same pass.
+tolerance; sweeps and ``verify`` pass :data:`TAIL_TOL`.
+:func:`choose_truncation` cuts ``[0, n_max]`` from the same pass.
 
 Weights are deliberately *not* renormalized after truncation; the dropped
 tail mass is recorded instead, so norm checks downstream report truncation
@@ -29,6 +30,8 @@ from .errors import ParameterError
 # Smallest allowed grid: index shifts k +/- 1 used by the dynamics must
 # always be addressable, even for vacuum inputs.
 MIN_LEVELS = 4
+#: Poisson tail tolerance of every coherent input a sweep or ``verify`` builds
+TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)

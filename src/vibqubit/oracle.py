@@ -13,11 +13,12 @@ suite is built on.
 Truncation convention: callers that want boundary leakage represented
 (rather than clipped) should allocate one extra Fock level beyond the grid
 their coherent weights populate; :func:`two_subsystem_oracle` does this
-internally.  States and densities are plain arrays.
+internally.  States and densities are plain arrays, on the basis of the
+operators: qubit index slowest (0 = excited, 1 = ground), then the modes in
+C order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,19 +43,24 @@ class TruncatedOperator:
     """Sparse Hermitian Hamiltonian on qubit (x) mode-a (x) mode-b.
 
     Basis ordering: qubit index slowest (0 = excited, 1 = ground), then
-    mode-a, then mode-b; see :func:`basis_index`.
+    mode-a, then mode-b, so ``|q, m, n>`` sits at
+    ``np.ravel_multi_index((q, m, n), (2, n_max_a + 1, n_max_b + 1))``.
     """
 
     dimension: int
     matrix: csr_matrix
 
 
-def basis_index(q: int, m: int, n: int, n_max_a: int, n_max_b: int) -> int:
-    """Flat index of ``|q, m, n>`` (q = 0 for excited, 1 for ground)."""
-    if q not in (0, 1) or not (0 <= m <= n_max_a) or not (0 <= n <= n_max_b):
-        raise ParameterError(f"basis labels ({q}, {m}, {n}) outside the truncated space")
-    n_b = n_max_b + 1
-    return (q * (n_max_a + 1) + m) * n_b + n
+def _sideband(rate: float, shape: tuple[int, ...]) -> csr_matrix:
+    """Both triangles of ``|e, k> <-> |g, k+1>`` at ``rate * sqrt(prod(k + 1))``
+    over the levels ``0 .. shape[i] - 1`` of each mode."""
+    k = np.indices([n - 1 for n in shape]).reshape(len(shape), -1)
+    e = np.ravel_multi_index((0, *k), (2, *shape))
+    g = np.ravel_multi_index((1, *(k + 1)), (2, *shape))
+    coupling = np.tile(rate * np.sqrt(np.prod(k + 1.0, axis=0)), 2).astype(complex)
+    dim = 2 * int(np.prod(shape))
+    rows, cols = np.concatenate([e, g]), np.concatenate([g, e])
+    return csr_matrix((coupling, (rows, cols)), shape=(dim, dim))
 
 
 def build_red_sideband(p: ModeParams, n_max_a: int, n_max_b: int) -> TruncatedOperator:
@@ -67,21 +73,8 @@ def build_red_sideband(p: ModeParams, n_max_a: int, n_max_b: int) -> TruncatedOp
     """
     if n_max_a < 4 or n_max_b < 4:
         raise ParameterError("truncation must keep at least levels 0..4 in each mode")
-    rate = p.rabi_rate
-    rows, cols, vals = [], [], []
-    for m in range(n_max_a):
-        for n in range(n_max_b):
-            i = basis_index(0, m, n, n_max_a, n_max_b)
-            j = basis_index(1, m + 1, n + 1, n_max_a, n_max_b)
-            g = rate * math.sqrt((m + 1.0) * (n + 1.0))
-            rows += [i, j]
-            cols += [j, i]
-            vals += [g, g]
-    dim = 2 * (n_max_a + 1) * (n_max_b + 1)
-    matrix = csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    )
-    return TruncatedOperator(dimension=dim, matrix=matrix)
+    matrix = _sideband(p.rabi_rate, (n_max_a + 1, n_max_b + 1))
+    return TruncatedOperator(dimension=matrix.shape[0], matrix=matrix)
 
 
 def build_jaynes_cummings(coupling: float, n_max: int) -> csr_matrix:
@@ -91,16 +84,7 @@ def build_jaynes_cummings(coupling: float, n_max: int) -> csr_matrix:
     ``2 (n_max + 1)``.  Used as the independent route for the
     stationary-qubit baseline.
     """
-    levels = n_max + 1
-    rows, cols, vals = [], [], []
-    for n in range(n_max):
-        i = n  # |e, n>
-        j = levels + n + 1  # |g, n+1>
-        g = coupling * math.sqrt(n + 1.0)
-        rows += [i, j]
-        cols += [j, i]
-        vals += [g, g]
-    return csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(2 * levels, 2 * levels))
+    return _sideband(coupling, (n_max + 1,))
 
 
 def coherent_product_state(

@@ -36,7 +36,7 @@ from .dynamics import (
     vibrating_subsystem,
 )
 from .errors import ParameterError
-from .fock import windowed_amplitudes
+from .fock import TAIL_TOL, windowed_amplitudes
 from .observables import l1_coherence, mode_moments
 
 # The row functions name the kernels and observables they call, so those
@@ -135,7 +135,6 @@ class Scenario:
     beta_sq: float = 1.0
     t_max: float = 2500.0
     n_steps: int = 501
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if self.mode not in ALL_MODES:
@@ -200,22 +199,22 @@ class Scenario:
 def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
     """Evaluate every row of the scenario, in row order.
 
-    The evolution is set up once, on each mode's narrowest Fock window
-    (:func:`vibqubit.fock.choose_window`), then the mode's row function
-    evaluates the whole time grid.
+    The evolution is set up once, on each mode's narrowest Fock window at
+    :data:`vibqubit.fock.TAIL_TOL` (:func:`vibqubit.fock.choose_window`),
+    then the mode's row function evaluates the whole time grid.  The axis
+    column is the subsystem's clock, its rate times t.
     """
     p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, s.tail_tol)
+    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
     spec, stationary = _split(s.mode)
     if stationary:
-        rate, sub = s.kappa, stationary_subsystem(p, wb)
+        sub = stationary_subsystem(p, wb)
     else:
-        wa = windowed_amplitudes(s.alpha_sq, s.tail_tol)
-        rate, sub = p.rabi_rate, vibrating_subsystem(p, wa, wb)
+        sub = vibrating_subsystem(p, windowed_amplitudes(s.alpha_sq, TAIL_TOL), wb)
     times = s.times()
     table = np.empty((times.size, 2 + len(spec.columns)))
     table[:, 0] = times
-    table[:, 1] = rate * times
+    table[:, 1] = sub.rate * times
     table[:, 2:] = np.column_stack(spec.row(s, sub, times))
     return list(map(tuple, table.tolist()))
 
@@ -238,7 +237,7 @@ def _metadata_lines(s: Scenario) -> list[str]:
         "upsilon": _format_value(s.upsilon),
         "t_max": _format_value(s.t_max),
         "n_steps": str(s.n_steps),
-        "tail_tol": _format_value(s.tail_tol),
+        "tail_tol": _format_value(TAIL_TOL),
     }
     return [f"# {key} = {value}" for key, value in values.items()]
 

@@ -6,10 +6,11 @@ produces, so the final invariant check covers every sampled point rather
 than a separate hand-picked set.
 
 Every check builds its coherent inputs with
-:func:`~vibqubit.fock.windowed_amplitudes` at the one tail tolerance
-:data:`TAIL_TOL` (only the two-qubit map check pins its grid size), and
-the oracle agreement is held to :data:`FIDELITY_DEFICIT`.  :func:`run_all`
-runs the checks in report order and times each call.
+:func:`~vibqubit.fock.windowed_amplitudes` at the package's one tail
+tolerance :data:`vibqubit.fock.TAIL_TOL`, as sweeps do (only the two-qubit
+map check pins its grid size), and the oracle agreement is held to
+:data:`FIDELITY_DEFICIT`.  :func:`run_all` runs the checks in report order
+and times each call.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .dynamics import (
     stationary_subsystem,
     vibrating_subsystem,
 )
-from .fock import CoherentAmplitudes, coherent_amplitudes, windowed_amplitudes
+from .fock import TAIL_TOL, CoherentAmplitudes, coherent_amplitudes, windowed_amplitudes
 from .observables import l1_coherence, mode_moments
 from .oracle import (
     build_red_sideband,
@@ -54,8 +55,6 @@ _EXCITED = QubitAmplitudes(1.0, 0.0)
 #: initial densities of the balanced and the excited qubit
 _BALANCED_RHO = np.full((2, 2), 0.5)
 _EXCITED_RHO = np.diag([1.0, 0.0])
-#: truncation tail tolerance of every coherent input
-TAIL_TOL = 1e-12
 #: allowed 1 - fidelity of the closed form against the oracle
 FIDELITY_DEFICIT = 1e-8
 
@@ -102,8 +101,9 @@ class DensityAuditor:
 
 def _inputs(a_sq: float, b_sq: float) -> tuple[ModeParams, CoherentAmplitudes, CoherentAmplitudes]:
     """Mode parameters and both coherent weight sets at intensities
-    (alpha_sq, beta_sq), on the windows of :data:`TAIL_TOL`.  Every
-    intensity verify uses lies below 27.6, so each window starts at level 0."""
+    (alpha_sq, beta_sq), on the windows of :data:`~vibqubit.fock.TAIL_TOL`.
+    Every intensity verify uses lies below 27.6, so each window starts at
+    level 0."""
     p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
     return p, windowed_amplitudes(a_sq, TAIL_TOL), windowed_amplitudes(b_sq, TAIL_TOL)
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from vibqubit import ModeParams, QubitAmplitudes, dynamics, windowed_amplitudes
+from vibqubit.fock import TAIL_TOL
 from vibqubit.oracle import (
     TruncatedOperator,
     build_jaynes_cummings,
@@ -47,7 +48,7 @@ def scenario(mode):
 def oracle_branches(s, c_e, c_g):
     """Evolved (T, 2, levels_a, levels_b) amplitudes of (c_e|e> + c_g|g>) x modes."""
     p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, s.tail_tol)
+    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
     if s.mode.startswith("stationary-"):
         grid = np.zeros(wb.n_max + 2)
         grid[:-1] = wb.weights
@@ -57,7 +58,7 @@ def oracle_branches(s, c_e, c_g):
         h = TruncatedOperator(dimension=h.shape[0], matrix=h)
         shape = (1, wb.n_max + 2)
     else:
-        wa = windowed_amplitudes(s.alpha_sq, s.tail_tol)
+        wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
         h = build_red_sideband(p, wa.n_max + 1, wb.n_max + 1)
         psi0 = coherent_product_state(QubitAmplitudes(c_e, c_g), wa, wb, wa.n_max + 1, wb.n_max + 1)
         shape = (wa.n_max + 2, wb.n_max + 2)
@@ -109,8 +110,8 @@ def tolerances(s, values):
     if base == "concurrence":
         return np.array([2 * TRACE_DISTANCE + 3 * math.sqrt(16 * EPS)])
     # ||n_a|| and ||n_b|| are the largest grid indices
-    norm_a = windowed_amplitudes(s.alpha_sq, s.tail_tol).n_max + 1
-    norm_b = windowed_amplitudes(s.beta_sq, s.tail_tol).n_max + 1
+    norm_a = windowed_amplitudes(s.alpha_sq, TAIL_TOL).n_max + 1
+    norm_b = windowed_amplitudes(s.beta_sq, TAIL_TOL).n_max + 1
     n_a, n_b, joint = np.max(values[:, :3], axis=0)
     d_a, d_b, d_joint = (2 * TRACE_DISTANCE * x for x in (norm_a, norm_b, norm_a * norm_b))
     d_cross = d_joint + n_a * d_b + n_b * d_a
@@ -124,11 +125,11 @@ def tolerances(s, values):
 def test_chunk_edges_match_oracle(mode, monkeypatch):
     s = scenario(mode)
     p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, s.tail_tol)
+    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
     if mode.startswith("stationary-"):
         sub = dynamics.stationary_subsystem(p, wb)
     else:
-        wa = windowed_amplitudes(s.alpha_sq, s.tail_tol)
+        wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
         sub = dynamics.vibrating_subsystem(p, wa, wb)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", TIMES_PER_CHUNK * 4 * sub.weights.nbytes)
     chunks = [chunk for chunk, _, _ in dynamics._phases(sub, s.times())]

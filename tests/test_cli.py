@@ -261,3 +261,23 @@ def test_verify_loads_the_suite_on_demand(tmp_path):
         "assert main(['verify']) == 0\n"
     ))
     assert {"vibqubit.verify", "vibqubit.oracle", "scipy.sparse.linalg"} <= names
+
+
+def test_time_grid_past_memory_exits_three(tmp_path):
+    # 400 million times need 3.2 GB, past a 2 GiB address space: one error
+    # line and exit 3, not a traceback and exit 1
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "vibqubit", "run", "--mode", "single-coherence",
+         "--steps", "400000000", "--t-max", "100", "--out", "steps.csv"],
+        cwd=tmp_path, capture_output=True, text=True, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "resource limit: out of memory\n"
+    assert not (tmp_path / "steps.csv").exists()

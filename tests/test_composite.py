@@ -213,6 +213,8 @@ def test_concurrence_input_validation():
         concurrence(np.eye(3) / 3.0)
     with pytest.raises(ParameterError):
         concurrence(np.eye(4))  # trace 4
+    with pytest.raises(ParameterError):
+        two_qubit_coherence(np.eye(4))  # trace 4, as for concurrence
 
 
 # ---------------------------------------------------------- two-qubit coherence

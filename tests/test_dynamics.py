@@ -1,7 +1,6 @@
 """Closed-form sideband evolution against the matrix-exponential oracle."""
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from vibqubit.errors import ResourceError
 from vibqubit.fock import windowed_amplitudes
 from vibqubit.observables import mode_moments
 from vibqubit.oracle import (
+    TruncatedOperator,
     build_jaynes_cummings,
     build_red_sideband,
     coherent_product_state,
@@ -430,7 +430,7 @@ def test_windowed_stationary_matches_oracle():
     grid[wb.n_min : wb.n_max + 1] = wb.weights
     psi0 = np.concatenate([BALANCED.c_e * grid, BALANCED.c_g * grid]).astype(complex)
     psi0 /= np.linalg.norm(psi0)
-    h_op = SimpleNamespace(dimension=2 * levels, matrix=h)  # all evolve_exact_series reads
+    h_op = TruncatedOperator(dimension=h.shape[0], matrix=h)
     times = np.linspace(0.0, 30.0, 7)
     exact = evolve_exact_series(psi0, h_op, times)
     sub = stationary_subsystem(p, wb)

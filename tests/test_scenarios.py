@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vibqubit import ParameterError, dynamics
-from vibqubit.fock import windowed_amplitudes
+from vibqubit.fock import TAIL_TOL, windowed_amplitudes
 from vibqubit.scenarios import (
     ALL_MODES,
     Scenario,
@@ -39,7 +39,7 @@ def test_pairs_conserved_past_the_old_intensity_limit():
     # a and b are created and destroyed in pairs, so <n_a> - <n_b> keeps its
     # initial value, which the truncation tails move by at most (n_max + 1) tail
     s = small("mode-correlation", alpha_sq=2000.0, beta_sq=1.0, t_max=60.0)
-    wa, wb = (windowed_amplitudes(x, s.tail_tol) for x in (s.alpha_sq, s.beta_sq))
+    wa, wb = (windowed_amplitudes(x, TAIL_TOL) for x in (s.alpha_sq, s.beta_sq))
     assert wa.n_min > 0
     tol = sum((w.n_max + 1) * w.tail_mass / (1 - w.tail_mass) for w in (wa, wb))
     rows = np.array(run_scenario(s))
