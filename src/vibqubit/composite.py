@@ -69,6 +69,9 @@ def evolve_two_qubit(rho0: np.ndarray, m: np.ndarray) -> np.ndarray:
     single-qubit transition terms.  A map stacked over T times gives a
     (T, 4, 4) density.
     """
+    rho0, m = np.asarray(rho0), np.asarray(m)
+    if rho0.shape != (4, 4) or m.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 density and a (..., 4, 4) map, got shapes {rho0.shape} and {m.shape}")
     lead = m.shape[:-2]
     rho4 = rho0.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
     m4 = m.reshape(lead + (2, 2, 2, 2))  # axes (i', j', i, j)

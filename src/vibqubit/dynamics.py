@@ -456,7 +456,7 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
 
 def apply_map(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Propagate a 2x2 density through the map ``m`` of :func:`single_qubit_map`, stacked like it."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ParameterError(f"expected a 2x2 density matrix, got shape {rho.shape}")
+    m, rho = np.asarray(m), np.asarray(rho, dtype=complex)
+    if m.shape[-2:] != (4, 4) or rho.shape != (2, 2):
+        raise ParameterError(f"expected a (..., 4, 4) map and a 2x2 density, got shapes {m.shape} and {rho.shape}")
     return (m @ rho.reshape(4)).reshape(m.shape[:-2] + (2, 2))

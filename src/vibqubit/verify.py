@@ -57,6 +57,8 @@ _BALANCED_RHO = np.full((2, 2), 0.5)
 _EXCITED_RHO = np.diag([1.0, 0.0])
 #: allowed 1 - fidelity of the closed form against the oracle
 FIDELITY_DEFICIT = 1e-8
+#: below this, oracle agreement ties at rounding and no worst point is named
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass
@@ -119,7 +121,6 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
     points tie.
     """
     times = np.linspace(0.0, 2500.0, 64)
-    rounding = 16 * np.finfo(float).eps
     worst = 0.0
     worst_at = ""
     checked = 0
@@ -146,7 +147,7 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
         passed=worst <= FIDELITY_DEFICIT,
         measured=f"worst fidelity deficit {worst:.3e}",
         bound=f"<= {FIDELITY_DEFICIT:.3e}",
-        detail=worst_at if worst > rounding else f"{checked} states, all within 16 eps",
+        detail=worst_at if worst > _ROUNDING else f"{checked} states, all within 16 eps",
     )
 
 
@@ -211,12 +212,7 @@ def _trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
-    """Local-map composition vs the four-mode joint oracle.
-
-    At intensity 1 every point sits at the n_max = 12 truncation offset, so
-    the detail counts the points within 1% of the worst and names the first
-    of them in loop order rather than one of the tied points.
-    """
+    """Local-map composition vs the four-mode joint oracle; the worst point is named past 16 eps."""
     n_max = 12
     points = []  # (trace distance, kind, intensity, time) in loop order
     for kind in ("phi", "psi"):
@@ -232,17 +228,16 @@ def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
             via_oracle = two_subsystem_oracle(spec, p, n_max, times)
             audit.record(via_oracle)
             points += [(_trace_distance(a, b), kind, intensity, t) for a, b, t in zip(via_map, via_oracle, times)]
-    worst = max(td for td, *_ in points)
-    tied = [point for point in points if point[0] >= 0.99 * worst]
-    _, kind, intensity, t = tied[0]
+    worst, kind, intensity, t = max(points, key=lambda point: point[0])
     return CheckResult(
         name="two-qubit-map-validation",
         passed=worst <= 1e-6,
         measured=f"worst trace distance {worst:.3e}",
         bound="<= 1e-06",
         detail=(
-            f"{len(tied)} of {len(points)} points within 1% of the worst, "
-            f"first {kind}, intensity={intensity}, t={t:.1f}"
+            f"{kind}, intensity={intensity}, t={t:.1f}"
+            if worst > _ROUNDING
+            else f"{len(points)} points, all within 16 eps"
         ),
     )
 
@@ -357,8 +352,15 @@ def check_revival(audit: DensityAuditor) -> CheckResult:
     audit.record(rho[::200])
     signal = np.abs(rho[:, 0, 0].real - 0.5)
     collapse = upper_envelope(times, signal).first_crossing_below(0.05)
-    peak_time, peak_value = revival_peak(times, signal, (collapse, float(times[-1])))
     expected = 2.0 * math.pi * 5.0 / p.kappa
+    if collapse >= times[-1]:
+        return CheckResult(
+            name="stationary-revival-timing",
+            passed=False,
+            measured=f"no collapse below 0.05 by t {times[-1]:.2f}",
+            bound=f"within 15% of {expected:.2f}",
+        )
+    peak_time, peak_value = revival_peak(times, signal, (collapse, float(times[-1])))
     rel_dev = abs(peak_time - expected) / expected
     return CheckResult(
         name="stationary-revival-timing",

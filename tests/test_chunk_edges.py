@@ -53,7 +53,6 @@ def oracle_branches(s, c_e, c_g):
         grid = np.zeros(wb.n_max + 2)
         grid[:-1] = wb.weights
         psi0 = np.concatenate([c_e * grid, c_g * grid]).astype(complex)
-        psi0 /= np.linalg.norm(psi0)
         h = build_jaynes_cummings(p.kappa, wb.n_max + 1)
         h = TruncatedOperator(dimension=h.shape[0], matrix=h)
         shape = (1, wb.n_max + 2)

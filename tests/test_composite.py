@@ -217,6 +217,14 @@ def test_concurrence_input_validation():
         two_qubit_coherence(np.eye(4))  # trace 4, as for concurrence
 
 
+def test_evolve_two_qubit_input_validation():
+    m = np.eye(4)
+    with pytest.raises(ParameterError, match="4x4 density"):
+        evolve_two_qubit(np.eye(3), m)
+    with pytest.raises(ParameterError, match=r"\(\.\.\., 4, 4\) map"):
+        evolve_two_qubit(np.eye(4) / 4, np.eye(3))
+
+
 # ---------------------------------------------------------- two-qubit coherence
 
 

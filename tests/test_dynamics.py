@@ -110,12 +110,10 @@ def test_coefficient_values_against_oracle_amplitudes():
     b, c = (x[m, n] for x in branches(evolve(sub, GROUND, t), sub))
     psi_e = oracle_state(EXCITED, p, wa, wb, t)
     psi_g = oracle_state(GROUND, p, wa, wb, t)
-    # the oracle's initial state is renormalized; undo that for amplitudes
-    scale = math.sqrt((1.0 - wa.tail_mass) * (1.0 - wb.tail_mass))
-    assert psi_e[flat_e] * scale == pytest.approx(a, abs=1e-9)
-    assert psi_e[flat_g] * scale == pytest.approx(d, abs=1e-9)
-    assert psi_g[flat_e] * scale == pytest.approx(b, abs=1e-9)
-    assert psi_g[flat_g] * scale == pytest.approx(c, abs=1e-9)
+    assert psi_e[flat_e] == pytest.approx(a, abs=1e-9)
+    assert psi_e[flat_g] == pytest.approx(d, abs=1e-9)
+    assert psi_g[flat_e] == pytest.approx(b, abs=1e-9)
+    assert psi_g[flat_g] == pytest.approx(c, abs=1e-9)
 
 
 # --------------------------------------------------------------------- evolve
@@ -329,7 +327,6 @@ def test_stationary_against_jaynes_cummings_oracle():
     grid = np.zeros(n_levels)
     grid[: wb.n_max + 1] = wb.weights
     psi0 = np.concatenate([EXCITED.c_e * grid, EXCITED.c_g * grid]).astype(complex)
-    psi0 /= np.linalg.norm(psi0)
 
     from scipy.sparse.linalg import expm_multiply
 
@@ -399,12 +396,11 @@ def test_windowed_grid_matches_oracle_on_full_grid():
         # amplitude by amplitude too: from a balanced qubit the level below
         # the window fills from the ground state at the window's lowest level,
         # at about 1e-7 here, far below what the fidelity bound resolves
-        unnormalized = exact[:, j].reshape(full.shape) * (1.0 - w.tail_mass)
-        assert np.max(np.abs(full - unnormalized)) <= 1e-11
+        assert np.max(np.abs(full - exact[:, j].reshape(full.shape))) <= 1e-11
         for k in range(times.size):
             assert 1.0 - fidelity(full[k], exact[k, j]) <= 1e-8
             rho_exact = oracle_reduced_density(exact[k, j], *levels)
-            assert trace_distance(rho[k] / np.trace(rho[k]).real, rho_exact) <= 1e-6
+            assert trace_distance(rho[k], rho_exact) <= 1e-6
         if q0 is BALANCED:
             assert np.max(np.abs(full[1:, 0, w.n_min - 1])) > 1e-8
             # the moments weight each grid index by its absolute Fock level
@@ -429,7 +425,6 @@ def test_windowed_stationary_matches_oracle():
     grid = np.zeros(levels)
     grid[wb.n_min : wb.n_max + 1] = wb.weights
     psi0 = np.concatenate([BALANCED.c_e * grid, BALANCED.c_g * grid]).astype(complex)
-    psi0 /= np.linalg.norm(psi0)
     h_op = TruncatedOperator(dimension=h.shape[0], matrix=h)
     times = np.linspace(0.0, 30.0, 7)
     exact = evolve_exact_series(psi0, h_op, times)
@@ -649,6 +644,8 @@ def test_map_rejects_bad_density_shape():
     m = vibrating_map(p, wa, wb, 1.0)
     with pytest.raises(ParameterError):
         apply_map(m, np.eye(3))
+    with pytest.raises(ParameterError, match=r"\(\.\.\., 4, 4\) map"):
+        apply_map(np.eye(3), np.eye(2))
 
 
 def test_stationary_map_mode():

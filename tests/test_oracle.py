@@ -67,6 +67,8 @@ def test_sideband_is_hermitian():
 def test_sideband_minimum_size():
     with pytest.raises(ParameterError):
         build_red_sideband(ModeParams(), 3, 8)
+    with pytest.raises(ParameterError, match="n_max must be >= 0"):
+        build_jaynes_cummings(1.0, -1)
 
 
 def test_jaynes_cummings_elements():
@@ -83,8 +85,8 @@ def test_product_state_places_a_window_at_its_levels():
     psi = coherent_product_state(EXCITED, wa, wb, 87, 15)
     grid = psi.reshape(2, 88, 16)[0]
     assert not grid[:3].any() and not grid[87].any()
-    expected = np.outer(wa.weights, wb.weights)
-    assert np.allclose(grid[3:87, :15], expected / np.linalg.norm(expected), rtol=1e-12, atol=0.0)
+    # the weights as they are, on the closed form's truncation convention
+    assert np.array_equal(grid[3:87, :15], np.outer(wa.weights, wb.weights))
 
 
 # ------------------------------------------------------------------- propagators
@@ -118,7 +120,7 @@ def test_norm_preserved_over_long_times():
     psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
     series = evolve_exact_series(psi0, h, np.linspace(0.0, 5000.0, 21))
     norms = np.linalg.norm(series, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
+    assert np.max(np.abs(norms - np.linalg.norm(psi0))) < 1e-10
 
 
 def test_energy_is_conserved():
@@ -171,8 +173,11 @@ def test_propagator_input_validation():
     w = coherent_amplitudes(1.0, 14)
     h = build_red_sideband(p, 15, 15)
     psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
-    with pytest.raises(ParameterError):
-        evolve_exact_series(psi0 * 2.0, h, [1.0])  # not normalized
+    for entry in (np.nan, np.inf):
+        bad = psi0.copy()
+        bad[3] = entry
+        with pytest.raises(ParameterError):
+            evolve_exact_series(bad, h, [1.0])  # not finite
     with pytest.raises(ParameterError):
         evolve_exact_series(psi0[:-1], h, [1.0])  # wrong dimension
     for bad in (-1.0, np.nan, np.inf):
@@ -207,9 +212,9 @@ def test_block_input_validation():
     h = build_red_sideband(ModeParams(), 15, 15)
     block = _basis_block(3)
     times = np.array([0.0, 1.0])
-    unnormalized = block.copy()
-    unnormalized[1] *= 1.0 + 1e-9
-    for bad in (unnormalized, block[:, :-1], block[None], block[:0]):
+    with_nan, with_inf = block.copy(), block.copy()
+    with_nan[1, 3], with_inf[2, 5] = np.nan, np.inf
+    for bad in (with_nan, with_inf, block[:, :-1], block[None], block[:0]):
         with pytest.raises(ParameterError):
             evolve_exact_series(bad, h, times)
 
@@ -217,7 +222,8 @@ def test_block_input_validation():
 def test_unnormalized_product_state_rejected_by_contract():
     w = coherent_amplitudes(1.0, 14)
     psi = coherent_product_state(BALANCED, w, w, 14, 14)
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-14  # renormalized; the tail is 3e-13 per mode
+    # not rescaled: the norm squared is the kept mass, the tail is 3e-13 per mode
+    assert abs(np.vdot(psi, psi).real - (1.0 - w.tail_mass) ** 2) < 1e-15
     small_grid = coherent_amplitudes(2.0, 6)
     with pytest.raises(ParameterError):
         coherent_product_state(BALANCED, small_grid, small_grid, 5, 5)
@@ -255,9 +261,10 @@ def test_joint_oracle_at_time_zero_is_bell_state():
 def test_joint_oracle_density_invariants():
     spec = BellSpec("psi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    kept = (1.0 - coherent_amplitudes(1.0, 10).tail_mass) ** 4  # four truncated modes
     for t in (0.0, 200.0, 800.0):
         rho = two_subsystem_oracle(spec, p, 10, t)
-        assert abs(np.trace(rho).real - 1.0) < 1e-9
+        assert abs(np.trace(rho).real - kept) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 

@@ -108,9 +108,16 @@ class TestOraclePasses:
 
 
 def test_two_qubit_map_detail_names_no_arbitrary_tied_point(results):
-    # at intensity 1 all 32 points sit at the n_max = 12 truncation offset,
-    # within 1e-5 relative of each other; the detail counts them and names
-    # the first in loop order, so rounding cannot pick another
-    assert results["two-qubit-map-validation"].detail == (
-        "32 of 64 points within 1% of the worst, first phi, intensity=1.0, t=0.0"
-    )
+    # the oracle keeps the truncated norm, as the map does, so every point
+    # agrees to rounding and the detail names none of them
+    assert results["two-qubit-map-validation"].detail == "64 points, all within 16 eps"
+
+
+def test_revival_without_collapse_fails_instead_of_raising(monkeypatch):
+    # an empty cavity gives a Rabi oscillation whose envelope never falls
+    # below 0.05, so there is no window to look for a revival in
+    inputs = verify._inputs
+    monkeypatch.setattr(verify, "_inputs", lambda a_sq, b_sq: inputs(a_sq, 0.0))
+    result = verify.check_revival(DensityAuditor())
+    assert not result.passed
+    assert result.measured == "no collapse below 0.05 by t 60.00"
