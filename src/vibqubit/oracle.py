@@ -5,10 +5,10 @@ Everything here deliberately avoids the closed-form algebra of
 matrix elements, states are propagated by one generic sparse matrix
 exponential (``expm_multiply``), which knows nothing of the two-level
 blocks the Hamiltonian decomposes into, and reduced densities come from
-explicit partial traces.  A block of K states that share ``H`` is stepped
-as one vector under K copies of ``H`` on the diagonal, which never mix.
-Agreement of this module with the analytic one is what the verification
-suite is built on.
+explicit partial traces.  :func:`evolve_coherent` is the one entry point:
+K qubit states times the coherent modes, stepped as one vector under K
+copies of ``H`` on the diagonal, which never mix.  Agreement of this module
+with the analytic one is what the verification suite is built on.
 
 Truncation convention, that of :mod:`vibqubit.fock` and the closed form:
 states keep the truncated weights unrescaled, so norm squared and trace are
@@ -19,7 +19,9 @@ the modes in C order.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import block_diag, csr_matrix
@@ -39,7 +41,7 @@ JOINT_BYTES = 4 << 30
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Sparse Hermitian Hamiltonian on qubit (x) mode-a (x) mode-b.
+    """Sparse Hermitian sideband Hamiltonian; kept only for ``perfbench/gate.py``.
 
     Basis ordering: qubit index slowest (0 = excited, 1 = ground), then
     mode-a, then mode-b, so ``|q, m, n>`` sits at
@@ -63,7 +65,8 @@ def _sideband(rate: float, shape: tuple[int, ...]) -> csr_matrix:
 
 
 def build_red_sideband(p: ModeParams, n_max_a: int, n_max_b: int) -> TruncatedOperator:
-    """Assemble ``H / hbar = eta*kappa*(sigma+ a b + sigma- a^dag b^dag)``.
+    """Assemble ``H / hbar = eta*kappa*(sigma+ a b + sigma- a^dag b^dag)``;
+    kept only for ``perfbench/gate.py``.
 
     Ladder elements ``a |m> = sqrt(m) |m-1>`` on each truncated mode give
     the selection rule ``|e, m, n> <-> |g, m+1, n+1>`` with coupling
@@ -80,12 +83,22 @@ def build_jaynes_cummings(coupling: float, n_max: int) -> csr_matrix:
     """Resonant single-mode Hamiltonian ``g (sigma+ b + sigma- b^dag)``.
 
     Basis: qubit slowest (0 = excited), then the mode index, dimension
-    ``2 (n_max + 1)``.  Used as the independent route for the
-    stationary-qubit baseline.
+    ``2 (n_max + 1)``.  Kept only for ``perfbench/gate.py``.
     """
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     return _sideband(coupling, (n_max + 1,))
+
+
+def _coherent_grid(modes: Sequence[CoherentAmplitudes], shape: tuple[int, ...]) -> np.ndarray:
+    """Flattened product of the coherent weights on a grid of ``shape`` from
+    level 0, each weight at its own Fock level; every other level is empty."""
+    if any(n <= w.n_max for w, n in zip(modes, shape)):
+        raise ParameterError("target space is smaller than the populated weight grids")
+    grid = np.zeros(shape)
+    window = tuple(slice(w.n_min, w.n_max + 1) for w in modes)
+    grid[window] = reduce(np.multiply.outer, [w.weights for w in modes])
+    return grid.reshape(-1)
 
 
 def coherent_product_state(
@@ -95,19 +108,14 @@ def coherent_product_state(
     n_max_a: int,
     n_max_b: int,
 ) -> np.ndarray:
-    """State vector of ``(c_e |e> + c_g |g>) (x) |alpha> (x) |beta>``.
+    """State vector of ``(c_e |e> + c_g |g>) (x) |alpha> (x) |beta>`` on levels
+    ``0 .. n_max_a`` and ``0 .. n_max_b``; kept only for ``perfbench/gate.py``.
 
-    The target space may allocate more levels than the weights populate
-    (the extras start empty); each weight sits at its own Fock level, so a
-    window starting above level 0 leaves the levels below it empty too.
     The truncated weights are kept as they are, so the norm squared is
     ``(|c_e|^2 + |c_g|^2)(1 - wa.tail_mass)(1 - wb.tail_mass)``.
     """
-    if n_max_a < wa.n_max or n_max_b < wb.n_max:
-        raise ParameterError("target space is smaller than the populated weight grids")
-    grid = np.zeros((n_max_a + 1, n_max_b + 1))
-    grid[wa.n_min : wa.n_max + 1, wb.n_min : wb.n_max + 1] = np.outer(wa.weights, wb.weights)
-    return np.concatenate([q0.c_e * grid.reshape(-1), q0.c_g * grid.reshape(-1)])
+    grid = _coherent_grid((wa, wb), (n_max_a + 1, n_max_b + 1))
+    return np.concatenate([q0.c_e * grid, q0.c_g * grid])
 
 
 def _propagate_expm(matrix: csr_matrix, state0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -167,6 +175,26 @@ def evolve_exact_series(
     return _propagate_expm(block, state0.reshape(-1), times).reshape(times.size, *state0.shape)
 
 
+def evolve_coherent(
+    rate: float, qubits: Sequence[QubitAmplitudes], modes: Sequence[CoherentAmplitudes], times: np.ndarray
+) -> np.ndarray:
+    """Each of K qubit states times the coherent ``modes``, evolved to ``times``:
+    shape (len(times), K, 2, *levels), qubit index 0 = excited.
+
+    Each mode keeps levels ``0 .. n_max + 1``, its weights at their own levels.
+    ``H`` couples ``|e, k> <-> |g, k+1>`` at ``rate * sqrt(prod(k + 1))``: one
+    mode at ``kappa`` is the stationary Jaynes-Cummings model, two at
+    ``eta * kappa`` the red sideband.  The K states are one block of
+    :func:`evolve_exact_series`.
+    """
+    shape = tuple(w.n_max + 2 for w in modes)
+    grid = _coherent_grid(modes, shape)
+    states = np.stack([np.concatenate([q.c_e * grid, q.c_g * grid]) for q in qubits])
+    h = _sideband(rate, shape)
+    series = evolve_exact_series(states, TruncatedOperator(dimension=h.shape[0], matrix=h), times)
+    return series.reshape(series.shape[:2] + (2, *shape))
+
+
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Squared overlap ``|<u|v>|^2 / (|u|^2 |v|^2)``; insensitive to phase and scale."""
     u = np.asarray(u).reshape(-1)
@@ -185,9 +213,9 @@ def two_subsystem_oracle(
 ) -> np.ndarray:
     """Evolve two identical subsystems jointly and trace out all four modes.
 
-    Builds the sideband operator once and propagates one subsystem's
-    ``|e>`` and ``|g>`` branches, tensored with coherent modes truncated at
-    ``n_max``, as one pair over the times ``t`` (the subsystem Hamiltonians
+    Propagates one subsystem's ``|e>`` and ``|g>`` branches, tensored with
+    coherent modes truncated at ``n_max``, as one pair of
+    :func:`evolve_coherent` over the times ``t`` (the subsystem Hamiltonians
     commute); at each time it forms the Bell-weighted joint vector and
     partial-traces the four modes away, leaving the kept mass as trace.  One
     extra Fock level per mode keeps boundary leakage inside the space.  A
@@ -199,8 +227,7 @@ def two_subsystem_oracle(
         If one time's joint state vector (with workspace) would exceed
         :data:`JOINT_BYTES`; the required size is reported.
     """
-    n_levels_max = n_max + 1  # one extra level beyond the populated grid
-    dim_sub = 2 * (n_levels_max + 1) ** 2
+    dim_sub = 2 * (n_max + 2) ** 2
     required = 16 * dim_sub * dim_sub * _JOINT_WORKSPACE_FACTOR
     if required > JOINT_BYTES:
         raise ResourceError(
@@ -210,23 +237,19 @@ def two_subsystem_oracle(
             budget_bytes=JOINT_BYTES,
         )
 
-    wa = coherent_amplitudes(p.alpha_mag, n_max)
-    wb = coherent_amplitudes(p.beta_mag, n_max)
-    h = build_red_sideband(p, n_levels_max, n_levels_max)
+    modes = (coherent_amplitudes(p.alpha_mag, n_max), coherent_amplitudes(p.beta_mag, n_max))
     basis = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))
-    psi0 = [coherent_product_state(q0, wa, wb, n_levels_max, n_levels_max) for q0 in basis]
     times = np.asarray(t, dtype=float)
-    phi = evolve_exact_series(np.stack(psi0), h, times.reshape(-1))
-    rho = np.stack([_joint_density(spec, e, g, n_levels_max + 1) for e, g in phi])
+    phi = evolve_coherent(p.rabi_rate, basis, modes, times.reshape(-1))
+    rho = np.stack([_joint_density(spec, e, g) for e, g in phi])
     return rho.reshape(times.shape + (4, 4))
 
 
-def _joint_density(spec: BellSpec, e: np.ndarray, g: np.ndarray, n_lv: int) -> np.ndarray:
-    """Two-qubit density of one time's joint vector, built from the images of |e>, |g>."""
+def _joint_density(spec: BellSpec, e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Two-qubit density of one time's joint state, built from the (2, m, n) images of |e>, |g>."""
     if spec.kind == "phi":
-        joint = spec.mu * np.kron(e, g) + spec.upsilon * np.kron(g, e)
+        joint = spec.mu * np.multiply.outer(e, g) + spec.upsilon * np.multiply.outer(g, e)
     else:
-        joint = spec.mu * np.kron(e, e) + spec.upsilon * np.kron(g, g)
-    blocks = joint.reshape(2, n_lv, n_lv, 2, n_lv, n_lv)
-    qubits_first = blocks.transpose(0, 3, 1, 2, 4, 5).reshape(4, -1)
+        joint = spec.mu * np.multiply.outer(e, e) + spec.upsilon * np.multiply.outer(g, g)
+    qubits_first = joint.transpose(0, 3, 1, 2, 4, 5).reshape(4, -1)
     return qubits_first @ qubits_first.conj().T

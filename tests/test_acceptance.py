@@ -32,8 +32,6 @@ oracle's and fails these tests whatever the verdict.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -43,7 +41,7 @@ from vibqubit import (
     upper_envelope,
     windowed_amplitudes,
 )
-from vibqubit.oracle import build_red_sideband, coherent_product_state, evolve_exact_series
+from vibqubit.oracle import evolve_coherent
 
 EXPECTED_CHECKS = (
     "oracle-equivalence-single",
@@ -79,14 +77,9 @@ def _oracle_process_matrices(beta_sq: float, times: np.ndarray, tail_tol: float)
     pass over both.  The image of ``|i><j|`` is the partial trace over both
     modes of ``|phi_i><phi_j|``.
     """
-    p = ModeParams(alpha_mag=1.0, beta_mag=math.sqrt(beta_sq))
-    wa = windowed_amplitudes(1.0, tail_tol)
-    wb = windowed_amplitudes(beta_sq, tail_tol)
-    n_a, n_b = wa.n_max + 1, wb.n_max + 1
-    h = build_red_sideband(p, n_a, n_b)
+    modes = (windowed_amplitudes(1.0, tail_tol), windowed_amplitudes(beta_sq, tail_tol))
     basis = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))
-    psi0 = np.stack([coherent_product_state(q0, wa, wb, n_a, n_b) for q0 in basis])
-    series = evolve_exact_series(psi0, h, times)
+    series = evolve_coherent(ModeParams().rabi_rate, basis, modes, times)
     phi = series.reshape(times.size, 2, 2, -1)  # axes (t, i, i', modes)
     # chunked so the conjugate copy stays small
     return np.concatenate(

@@ -5,11 +5,14 @@ package, and ``perfbench/spans.py`` wraps package functions by name.  A
 deletion that takes one of them away should fail here, not silently zero a
 per-layer metric or break the benchmark's correctness gate.
 """
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from vibqubit.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: span targets the package no longer defines; the tracer skips them and
@@ -40,3 +43,16 @@ def test_span_targets_resolve(perfbench):
         if not callable(getattr(importlib.import_module(f"vibqubit.{module}"), name, None))
     }
     assert missing <= KNOWN_MISSING
+
+
+def test_gate_passes_a_stationary_and_a_vibrating_run_on_every_row(perfbench, tmp_path):
+    # the benchmark's whole oracle path: row invariants, then every row against the gate's oracle
+    gate, workloads = importlib.import_module("gate"), importlib.import_module("workloads")
+    vibrating = dataclasses.replace(workloads.WARMUP, c_e=0.6 + 0j, c_g=0.8j)
+    stationary = dataclasses.replace(workloads.WARMUP, mode="stationary-concurrence", t_max=20.0)
+    for inv in (stationary, vibrating):
+        out = tmp_path / f"{inv.mode}.csv"
+        assert main(inv.argv(str(out))) == 0
+        text = out.read_text()
+        assert gate.check_rows(inv, text) == []
+        assert gate.check_oracle(inv, text, list(range(inv.steps))) == []

@@ -17,15 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from vibqubit import ModeParams, QubitAmplitudes, dynamics, windowed_amplitudes
+from vibqubit import QubitAmplitudes, dynamics, windowed_amplitudes
 from vibqubit.fock import TAIL_TOL
-from vibqubit.oracle import (
-    TruncatedOperator,
-    build_jaynes_cummings,
-    build_red_sideband,
-    coherent_product_state,
-    evolve_exact_series,
-)
+from vibqubit.oracle import evolve_coherent
 from vibqubit.scenarios import ALL_MODES, Scenario, run_scenario
 
 TRACE_DISTANCE = 1e-6
@@ -45,47 +39,34 @@ def scenario(mode):
     )
 
 
-def oracle_branches(s, c_e, c_g):
-    """Evolved (T, 2, levels_a, levels_b) amplitudes of (c_e|e> + c_g|g>) x modes."""
+def oracle_branches(s, *qubits):
+    """Evolved (T, K, 2, levels_a, levels_b) amplitudes of each qubit state x modes;
+    a stationary run has one level on mode a."""
     p = s.mode_params()
     wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
     if s.mode.startswith("stationary-"):
-        grid = np.zeros(wb.n_max + 2)
-        grid[:-1] = wb.weights
-        psi0 = np.concatenate([c_e * grid, c_g * grid]).astype(complex)
-        h = build_jaynes_cummings(p.kappa, wb.n_max + 1)
-        h = TruncatedOperator(dimension=h.shape[0], matrix=h)
-        shape = (1, wb.n_max + 2)
-    else:
-        wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
-        h = build_red_sideband(p, wa.n_max + 1, wb.n_max + 1)
-        psi0 = coherent_product_state(QubitAmplitudes(c_e, c_g), wa, wb, wa.n_max + 1, wb.n_max + 1)
-        shape = (wa.n_max + 2, wb.n_max + 2)
-    return evolve_exact_series(psi0, h, s.times()).reshape((STEPS, 2) + shape)
-
-
-def partial_trace(x, y):
-    """(T, 2, 2) mode trace of |x><y| for branch stacks from oracle_branches."""
-    return np.einsum("tqmn,trmn->tqr", x, y.conj())
+        return evolve_coherent(p.kappa, qubits, (wb,), s.times())[:, :, :, None]
+    wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
+    return evolve_coherent(p.rabi_rate, qubits, (wa, wb), s.times())
 
 
 def oracle_values(s):
     """(T, value columns) of the scenario, from the oracle alone."""
     base = s.mode.removeprefix("stationary-")
+    q0 = QubitAmplitudes(s.c_e, s.c_g)
     if base.startswith("single-coherence"):
-        psi = oracle_branches(s, s.c_e, s.c_g)
-        return 2.0 * np.abs(partial_trace(psi, psi)[:, 0, 1])[:, None]
+        psi = oracle_branches(s, q0)[:, 0]
+        return 2.0 * np.abs(np.einsum("tmn,tmn->t", psi[:, 0], psi[:, 1].conj()))[:, None]
     if base == "mode-correlation":
-        prob = np.sum(np.abs(oracle_branches(s, s.c_e, s.c_g)) ** 2, axis=1)
+        prob = np.sum(np.abs(oracle_branches(s, q0)[:, 0]) ** 2, axis=1)
         m = np.arange(prob.shape[1])[:, None]
         n = np.arange(prob.shape[2])[None, :]
         total = prob.sum(axis=(1, 2))
         n_a, n_b, joint = ((prob * w).sum(axis=(1, 2)) / total for w in (m, n, m * n))
         return np.stack([n_a, n_b, joint, joint - n_a * n_b, joint / (n_a * n_b)], axis=1)
-    # process matrix: column (x, y) is the mode trace of |psi_x><psi_y|
-    basis = [oracle_branches(s, 1.0, 0.0), oracle_branches(s, 0.0, 1.0)]
-    columns = [partial_trace(x, y).reshape(STEPS, 4) for x in basis for y in basis]
-    m4 = np.stack(columns, axis=2).reshape(STEPS, 2, 2, 2, 2)
+    # process matrix: entry (q, r, x, y) is the mode trace of |psi_x><psi_y|
+    basis = oracle_branches(s, QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))
+    m4 = np.einsum("txqmn,tyrmn->tqrxy", basis, basis.conj())
     psi = np.array([s.mu, 0, 0, s.upsilon] if s.bell_kind == "psi" else [0, s.mu, s.upsilon, 0])
     rho0 = np.outer(psi, psi).reshape(2, 2, 2, 2)
     rho = np.einsum("taceg,tbdfh,efgh->tabcd", m4, m4, rho0).reshape(STEPS, 4, 4)

@@ -13,11 +13,14 @@ from vibqubit import (
     bell_state,
     coherent_amplitudes,
     oracle,
+    windowed_amplitudes,
 )
 from vibqubit.oracle import (
+    TruncatedOperator,
     build_jaynes_cummings,
     build_red_sideband,
     coherent_product_state,
+    evolve_coherent,
     evolve_exact_series,
     fidelity,
     two_subsystem_oracle,
@@ -93,41 +96,29 @@ def test_product_state_places_a_window_at_its_levels():
 
 
 def test_evolution_at_time_zero_is_identity():
-    p = ModeParams()
-    w = coherent_amplitudes(1.0, 14)
-    h = build_red_sideband(p, 15, 15)
-    psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
+    h = build_red_sideband(ModeParams(), 15, 15)
+    psi0 = _basis_block(3)[2]  # balanced
     assert np.allclose(evolve_exact_series(psi0, h, [0.0])[0], psi0, atol=1e-12)
 
 
 def test_vacuum_rabi_oscillation():
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
     w = coherent_amplitudes(0.0, 4)
-    h = build_red_sideband(p, 5, 5)
-    psi0 = coherent_product_state(EXCITED, w, w, 5, 5)
-    t = 0.7 / p.rabi_rate
-    psi = evolve_exact_series(psi0, h, [t])[0]
-    i_e = np.ravel_multi_index((0, 0, 0), (2, 6, 6))
-    i_g = np.ravel_multi_index((1, 1, 1), (2, 6, 6))
-    assert psi[i_e] == pytest.approx(math.cos(0.7), abs=1e-10)
-    assert psi[i_g] == pytest.approx(-1j * math.sin(0.7), abs=1e-10)
+    psi = evolve_coherent(p.rabi_rate, [EXCITED], (w, w), [0.7 / p.rabi_rate])[0, 0]
+    assert psi[0, 0, 0] == pytest.approx(math.cos(0.7), abs=1e-10)
+    assert psi[1, 1, 1] == pytest.approx(-1j * math.sin(0.7), abs=1e-10)
 
 
 def test_norm_preserved_over_long_times():
-    p = ModeParams()
     w = coherent_amplitudes(1.0, 14)
-    h = build_red_sideband(p, 15, 15)
-    psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
-    series = evolve_exact_series(psi0, h, np.linspace(0.0, 5000.0, 21))
-    norms = np.linalg.norm(series, axis=1)
-    assert np.max(np.abs(norms - np.linalg.norm(psi0))) < 1e-10
+    series = evolve_coherent(ModeParams().rabi_rate, [BALANCED], (w, w), np.linspace(0.0, 5000.0, 21))
+    norms = np.linalg.norm(series.reshape(21, -1), axis=1)
+    assert np.max(np.abs(norms - norms[0])) < 1e-10
 
 
 def test_energy_is_conserved():
-    p = ModeParams()
-    w = coherent_amplitudes(1.0, 14)
-    h = build_red_sideband(p, 15, 15)
-    psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
+    h = build_red_sideband(ModeParams(), 15, 15)
+    psi0 = _basis_block(3)[2]  # balanced
     e0 = np.vdot(psi0, h.matrix @ psi0).real
     for t in (10.0, 500.0, 2500.0):
         psi = evolve_exact_series(psi0, h, [t])[0]
@@ -135,10 +126,8 @@ def test_energy_is_conserved():
 
 
 def test_nonuniform_time_grid():
-    p = ModeParams()
-    w = coherent_amplitudes(1.0, 14)
-    h = build_red_sideband(p, 15, 15)
-    psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
+    h = build_red_sideband(ModeParams(), 15, 15)
+    psi0 = _basis_block(3)[2]  # balanced
     times = np.array([0.0, 1.0, 10.0, 100.0])
     series = evolve_exact_series(psi0, h, times)
     for k, t in enumerate(times):
@@ -169,10 +158,8 @@ def test_nonuniform_grid_steps_from_the_previous_time(monkeypatch):
 
 
 def test_propagator_input_validation():
-    p = ModeParams()
-    w = coherent_amplitudes(1.0, 14)
-    h = build_red_sideband(p, 15, 15)
-    psi0 = coherent_product_state(BALANCED, w, w, 15, 15)
+    h = build_red_sideband(ModeParams(), 15, 15)
+    psi0 = _basis_block(3)[2]  # balanced
     for entry in (np.nan, np.inf):
         bad = psi0.copy()
         bad[3] = entry
@@ -227,6 +214,39 @@ def test_unnormalized_product_state_rejected_by_contract():
     small_grid = coherent_amplitudes(2.0, 6)
     with pytest.raises(ParameterError):
         coherent_product_state(BALANCED, small_grid, small_grid, 5, 5)
+
+
+# ------------------------------------------------------------------ entry point
+
+
+@pytest.mark.parametrize(
+    "intensities, times",
+    [((1.0, 4.0), np.linspace(0.0, 400.0, 5)), ((36.0, 36.0), np.array([0.0, 5.0])),
+     ((36.0,), np.linspace(0.0, 30.0, 7))],
+    ids=["level-0", "windowed", "stationary-windowed"],
+)
+def test_evolve_coherent_is_the_hand_written_recipe(intensities, times):
+    modes = [windowed_amplitudes(x, 1e-12) for x in intensities]
+    levels = tuple(w.n_max + 2 for w in modes)
+    p = ModeParams()  # only the rates eta * kappa and kappa enter
+    qubits = (EXCITED, BALANCED)
+    if len(modes) == 2:
+        rate, h = p.rabi_rate, build_red_sideband(p, *(n - 1 for n in levels))
+        psi0 = [coherent_product_state(q0, *modes, *(n - 1 for n in levels)) for q0 in qubits]
+    else:
+        rate, h = p.kappa, TruncatedOperator(2 * levels[0], build_jaynes_cummings(p.kappa, levels[0] - 1))
+        grid = np.pad(modes[0].weights, (modes[0].n_min, 1))
+        psi0 = [np.concatenate([q0.c_e * grid, q0.c_g * grid]).astype(complex) for q0 in qubits]
+    out = evolve_coherent(rate, qubits, modes, times)
+    assert out.shape == (times.size, 2, 2, *levels)
+    flat = out.reshape(times.size, 2, -1)
+    assert np.array_equal(flat, evolve_exact_series(np.stack(psi0), h, times))
+    for axis, w in enumerate(modes, start=2):
+        # at t = 0 nothing lies below the window (n_min is 3 at 36) or on the padding level
+        assert not np.take(out[0], [*range(w.n_min), w.n_max + 1], axis=axis).any()
+    kept = np.prod([1.0 - w.tail_mass for w in modes])
+    want = [(abs(q0.c_e) ** 2 + abs(q0.c_g) ** 2) * kept for q0 in qubits]
+    assert np.allclose(np.sum(np.abs(flat) ** 2, axis=-1), want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------- fidelity

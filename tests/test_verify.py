@@ -121,3 +121,9 @@ def test_revival_without_collapse_fails_instead_of_raising(monkeypatch):
     result = verify.check_revival(DensityAuditor())
     assert not result.passed
     assert result.measured == "no collapse below 0.05 by t 60.00"
+
+
+def test_revival_bound_follows_the_cavity_it_ran(monkeypatch):
+    inputs = verify._inputs  # the expected revival time is 2 pi |beta| / kappa of these
+    monkeypatch.setattr(verify, "_inputs", lambda a_sq, b_sq: inputs(a_sq, 16.0))
+    assert verify.check_revival(DensityAuditor()).bound == "within 15% of 25.13"
