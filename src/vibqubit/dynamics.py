@@ -18,20 +18,31 @@ The map is a plain array, applied to a density by :func:`apply_map`.
 
 Time is a batch axis: every function that takes a time ``t`` also takes a
 1-d array of times and then returns results stacked along a leading time
-axis; a scalar time is the length-1 case of the same computation.
-One walk, :func:`_phases`, yields the cos and sin of every block angle in
-pieces whose basis tables fit :data:`CHUNK_BYTES`; on a uniform grid it
-steps the phases from one time to the next.  Every
-row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
+axis; a scalar time is the length-1 case of the same computation.  The
+walk, :func:`_phases`, yields the cos and sin of every block angle in pieces
+whose basis tables fit :data:`CHUNK_BYTES`, stepping the phases on a uniform
+grid; every row of a sweep is the same whatever the cut.  :func:`single_qubit_map`
 keeps 16 numbers per time, :func:`occupation_sums` 4, and :func:`evolve`
 the whole state, a plain complex array of the excited and ground branches.
 
-Each term of a branch's squared norm turns with one block frequency, so
+Each term of a branch's squared norm turns with one block frequency f, so
 the map's diagonal Gram entries and the mode moments are sums over the
-distinct frequencies, weighted once per call by :func:`_bins`: a time
-costs one row of cos^2, sin^2 and cos sin (:func:`_trig_rows`), not a pass
-over the Fock grid.  Only the map's cross terms between the excited and
-ground branches pair two frequencies and read the basis tables.
+distinct frequencies, weighted once per call by :func:`_bins`: a walked time
+costs one row of cos^2, sin^2 and cos sin (:func:`_trig_rows`).  Only the
+map's cross terms between the excited and ground branches pair two
+frequencies, f_up +- f_down, and the walk reads them from the basis tables.
+On a uniform grid of at least :data:`SPECTRAL_MIN_TIMES` times both
+functions instead take every such sum of tones, at 2 f or f_up +- f_down, at
+all times by one type-1 non-uniform FFT (:func:`_tone_sums`; Dutt & Rokhlin
+1993), within 5e-13 of the walk, and walk the first time only, so the
+map at t = 0 stays the identity.  Crossover, ms of the map walked / spectral
+by grid levels and T (best of 7, 2 vCPUs; the moments cross near it too):
+
+    T =          101        201        301        401        501       1001       2001
+    16 x 16      0.83/1.2    2.1/1.4    2.5/1.6    3.3/1.7      4/1.9    6.3/2.5     12/4.6
+    86 x 86        8.8/19      16/19      24/18      32/20      40/20      80/20     158/22
+    165 x 126       23/57      42/57      62/57      83/57     108/58     212/59     430/63
+    27          0.38/0.57  0.59/0.68  0.82/0.85     1/0.95      1.3/1    2.4/1.5    4.8/2.7
 """
 from __future__ import annotations
 
@@ -60,6 +71,9 @@ CHUNK_BYTES = 1 << 19
 #: on a uniform time grid, cos and sin are taken directly at every RESEED-th
 #: time and stepped in between, at a cost of about RESEED * 8 eps of phase
 RESEED = 64
+#: a uniform sweep of at least this many times takes its sums by one FFT per
+#: call, any other walks; measured crossover in the module docstring
+SPECTRAL_MIN_TIMES = 400
 #: bytes one float grid of a subsystem may take; a sweep holds about a dozen
 #: such grids (weights, block indices, one time's tables and reductions)
 GRID_BYTES = 1 << 26
@@ -319,18 +333,10 @@ def _trig_rows(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """The walk of a sweep: cos and sin (T, F) of the block angles
-    ``theta = rate * t * freqs`` for each chunk, in order: a slice of at
-    least one time whose basis tables fit :data:`CHUNK_BYTES`.
-
-    A uniform grid (``t_i = t_0 + i h`` within ``4 eps max(t)``) takes them
-    directly at every :data:`RESEED`-th index and in between steps the phase,
-    across chunks, by ``exp(i rate h freqs)``: within about ``RESEED * 8 eps
-    + 8 theta eps`` of direct, and the same whatever the cut.  Any other grid
-    takes them directly at every time.  A time whose largest angle would lose
-    more than ``_PHASE_TOL`` rad to rounding raises :class:`ParameterError`.
-    """
+def _step(sub: Subsystem, times: np.ndarray) -> float | None:
+    """The step ``h`` of a uniform grid, ``t_i = t_0 + i h`` within ``4 eps
+    max(t)``, else None; raises :class:`ParameterError` for a time whose
+    largest angle would lose more than ``_PHASE_TOL`` rad to rounding."""
     eps = np.finfo(float).eps
     if sub.rate * times.max() * sub.freqs[-1] * eps > _PHASE_TOL:
         limit = _PHASE_TOL / eps / (sub.rate * sub.freqs[-1])
@@ -338,10 +344,23 @@ def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarr
             f"time {times.max():.6g} is past {limit:.6g}, beyond which the rotation "
             f"angles lose more than {_PHASE_TOL:g} rad to double rounding"
         )
+    h = (times[-1] - times[0]) / max(times.size - 1, 1)
+    return h if np.max(np.abs(times - (times[0] + np.arange(times.size) * h))) <= 4 * eps * times.max() else None
+
+
+def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The walk of a sweep: cos and sin (T, F) of the block angles
+    ``theta = rate * t * freqs`` for each chunk, in order: a slice of at
+    least one time whose basis tables fit :data:`CHUNK_BYTES`.
+
+    A uniform grid (:func:`_step`) takes them directly at every :data:`RESEED`-th
+    index and in between steps the phase, across chunks, by ``exp(i rate h freqs)``:
+    within about ``RESEED * 8 eps + 8 theta eps`` of direct, and the same whatever
+    the cut.  Any other grid takes them directly at every time.
+    """
+    h = _step(sub, times)
     n, angle = times.size, sub.rate * times
-    h = (times[-1] - times[0]) / max(n - 1, 1)
-    uniform = np.max(np.abs(times - (times[0] + np.arange(n) * h))) <= 4 * eps * times.max()
-    reseed, step = (RESEED if uniform else 1), np.exp(1j * (sub.rate * h * sub.freqs))
+    reseed, step = (1, None) if h is None else (RESEED, np.exp(1j * (sub.rate * h * sub.freqs)))
     length = max(1, CHUNK_BYTES // (4 * sub.weights.nbytes))
     for start in range(0, n, length):
         chunk = slice(start, min(start + length, n))
@@ -354,6 +373,34 @@ def _phases(sub: Subsystem, times: np.ndarray) -> Iterator[tuple[slice, np.ndarr
                 z.real[row], z.imag[row] = np.cos(theta), np.sin(theta)
             last = z[row]
         yield chunk, z.real, z.imag
+
+
+def _tone_sums(rate: float, times: np.ndarray, h: float, tones: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """``sum_s strengths[s] exp(i rate t tones[s])``, (T, C), at every time of
+    a uniform grid of step ``h``: one type-1 non-uniform FFT, Gaussian gridding
+    onto ``n >= 2 T`` points (Greengard & Lee 2004) in blocks that fit :data:`CHUNK_BYTES`."""
+    n, mid, width = 1 << (2 * times.size - 1).bit_length(), times.size // 2, 14  # points each side
+    tau = np.pi * width / (n * (n - 0.5 * times.size))
+    x = np.mod(rate * h * tones, 2 * np.pi)
+    # phased to the middle time, the modes are centred: the deconvolution gains at most e**pi
+    c = strengths * np.exp(1j * (rate * times[mid]) * tones)[:, None]
+    taps, grid = np.arange(1 - width, width + 1), np.zeros((n, 2 * c.shape[1]))
+    length = max(1, CHUNK_BYTES // (32 * taps.size))
+    for s in range(0, tones.size, length):
+        xs = x[s : s + length, None]
+        at = np.floor(xs * (n / (2 * np.pi))).astype(int) + taps
+        kernel, cells = np.exp(-((at * (2 * np.pi / n) - xs) ** 2) / (4 * tau)), (at % n).ravel()
+        for j, part in enumerate(c[s : s + length].view(float).T):  # real and imaginary parts
+            grid[:, j] += np.bincount(cells, (kernel * part[:, None]).ravel(), minlength=n)
+    k = np.arange(times.size) - mid
+    return (np.sqrt(np.pi / tau) * np.exp(k * k * tau))[:, None] * np.fft.ifft(grid.view(complex), axis=0)[k % n]
+
+
+def _spectral_rows(sub: Subsystem, times: np.ndarray, h: float, bins: np.ndarray) -> np.ndarray:
+    """``(_trig_rows(cos, sin) @ bins)[:, :, 0]`` at every time, from tones at ``2 f``."""
+    e = _tone_sums(sub.rate, times, h, 2 * sub.freqs, bins.transpose(1, 0, 2).reshape(sub.freqs.size, -1)).reshape(-1, *bins.shape[::2])
+    half = 0.5 * bins.sum(axis=1)  # cos^2 = (1 + cos 2x) / 2, sin^2 = (1 - cos 2x) / 2, cos sin = sin 2x / 2
+    return np.stack([half[0] + 0.5 * e[:, 0].real, half[1] - 0.5 * e[:, 1].real, 0.5 * e[:, 2].imag], axis=1)
 
 
 def evolve(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> np.ndarray:
@@ -384,7 +431,7 @@ def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) 
     with weight ``Re(k^H k)[u, v]``, ``k`` the branch coefficients of
     ``q0``, and that weight is 0 between the excited and ground branches:
     every term turns with one block frequency.  Times go through the walk
-    of :func:`_phases` and no table is built.
+    or the spectral sums (module docstring) and no table is built.
     """
     times = _times(t)
     k = _coefficients(q0)
@@ -393,7 +440,9 @@ def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) 
     m, n = (o + np.arange(size, dtype=float) for o, size in zip(sub.origin, sub.weights.shape))
     bins = _bins(sub, mix, (1.0, m[:, None], n[None, :], np.multiply.outer(m, n)))
     sums = np.empty((times.size, 4))
-    for chunk, cos, sin in _phases(sub, times):
+    if spectral := times.size >= SPECTRAL_MIN_TIMES and (h := _step(sub, times)) is not None:
+        sums[:] = _spectral_rows(sub, times, h, bins).sum(axis=1)
+    for chunk, cos, sin in _phases(sub, times[:1] if spectral else times):
         sums[chunk] = (_trig_rows(cos, sin) @ bins)[:, :, 0].sum(axis=1)
     return sums if np.ndim(t) else sums[0]
 
@@ -433,19 +482,28 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
     real Gram matrix of the four basis tables per time.  Its six entries
     within a branch are one-frequency sums (:func:`_bins`); only the cross
     block between the (A, B) and (C, D) tables is summed over the grid.
-    Times go through the walk of :func:`_phases`; only the (T, 4, 4) result
-    spans them all.
+    Times go through the walk or the spectral sums (module docstring); only
+    the (T, 4, 4) result spans them all.
     """
     times = _times(t)
     bins = _bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
     rows, cols = np.moveaxis(np.array(_DIAGONAL), -1, 0)
     gram = np.empty((times.size, 4, 4))
-    for chunk, cos, sin in _phases(sub, times):
+    if spectral := times.size >= SPECTRAL_MIN_TIMES and (h := _step(sub, times)) is not None:
+        gram[:, rows, cols] = gram[:, cols, rows] = _spectral_rows(sub, times, h, bins)
+        # AC, AD, BC and BD pair an up and a down angle: tones at f_up +- f_down
+        up, down = sub.freqs[sub.up].ravel(), sub.freqs[sub.down].ravel()
+        w, w_up, w_down = (x.ravel() for x in (sub.weights, sub.weights_up, sub.weights_down))
+        pairs = np.stack([w * w, w * w_down, w_up * w, w_up * w_down], axis=1)
+        e = _tone_sums(sub.rate, times, h, np.r_[up + down, up - down], np.r_[pairs * [1, 1, 1, -1], pairs * [1, -1, 1, 1]])
+        gram[:, :2, 2:] = 0.5 * np.stack([e[:, 0].real, e[:, 1].imag, e[:, 2].imag, e[:, 3].real], -1).reshape(-1, 2, 2)
+    # on a spectral sweep the first time is walked too: the map at t = 0 is the identity
+    for chunk, cos, sin in _phases(sub, times[:1] if spectral else times):
         x = _rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
         g = gram[chunk]
         g[:, rows, cols] = g[:, cols, rows] = (_trig_rows(cos, sin) @ bins)[:, :, 0]
         g[:, :2, 2:] = x[:, :2] @ x[:, 2:].transpose(0, 2, 1)
-        g[:, 2:, :2] = g[:, :2, 2:].transpose(0, 2, 1)
+    gram[:, 2:, :2] = gram[:, :2, 2:].transpose(0, 2, 1)
     k = _BASIS_BRANCHES
     # traces[u, v] = sum over the grid of branch u times conj(branch v)
     traces = k @ gram @ k.conj().T

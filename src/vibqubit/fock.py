@@ -196,9 +196,10 @@ def choose_window(mean_excitation: float, tail_tol: float) -> tuple[int, int]:
 
 def windowed_amplitudes(mean_excitation: float, tail_tol: float) -> CoherentAmplitudes:
     """Coherent weights of mean excitation ``mean_excitation`` on the window of
-    :func:`choose_window`; the dropped mass is checked against ``tail_tol``
-    plus the rounding of the recurrence, ``4 (n_max + 1) eps``."""
+    :func:`choose_window`; a dropped mass past ``tail_tol`` plus the rounding
+    of the recurrence, ``4 (n_max + 1) eps``, raises :class:`ParameterError`."""
     n_min, n_max = choose_window(mean_excitation, tail_tol)
     w = coherent_amplitudes(math.sqrt(mean_excitation), n_max, n_min)
-    assert w.tail_mass <= tail_tol + 4 * (n_max + 1) * np.finfo(float).eps, w.tail_mass
-    return w
+    if w.tail_mass <= (bound := tail_tol + 4 * (n_max + 1) * np.finfo(float).eps):
+        return w
+    raise ParameterError(f"the window [{n_min}, {n_max}] drops tail mass {w.tail_mass:.6g}, past the bound {bound:.6g}")

@@ -238,12 +238,17 @@ def scipy_modules(names):
 
 
 def test_run_loads_no_scipy(tmp_path):
+    # a short sweep walks; one of SPECTRAL_MIN_TIMES steps takes the spectral sums
     names = fresh_modules(tmp_path, (
         "from vibqubit.cli import main\n"
+        "from vibqubit.dynamics import SPECTRAL_MIN_TIMES\n"
         "assert main(['run', '--mode', 'single-coherence', '--steps', '21',"
         " '--t-max', '100', '--out', 'x.csv']) == 0\n"
+        "for mode in ('concurrence', 'mode-correlation'):\n"
+        "    assert main(['run', '--mode', mode, '--steps', str(SPECTRAL_MIN_TIMES),"
+        " '--t-max', '2500', '--out', mode + '.csv']) == 0\n"
     ))
-    assert (tmp_path / "x.csv").exists()
+    assert all((tmp_path / name).exists() for name in ("x.csv", "concurrence.csv", "mode-correlation.csv"))
     assert "vibqubit.cli" in names
     assert scipy_modules(names) == []
 

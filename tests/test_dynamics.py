@@ -195,11 +195,16 @@ def test_time_past_double_phase_rejected():
     p, wa, wb = default_params()
     for sub in (vibrating_subsystem(p, wa, wb), stationary_subsystem(p, wb)):
         limit = dynamics._PHASE_TOL / np.finfo(float).eps / (sub.rate * sub.freqs[-1])
-        for t in (1e300, np.array([0.0, 1e300]), 1.01 * limit):
+        # the last is a sweep long enough for the spectral sums
+        long = np.linspace(0.0, 1.01 * limit, dynamics.SPECTRAL_MIN_TIMES)
+        for t in (1e300, np.array([0.0, 1e300]), 1.01 * limit, long):
             with pytest.raises(ParameterError, match="past"):
                 evolve(sub, BALANCED, t)
             with pytest.raises(ParameterError, match="past"):
                 single_qubit_map(sub, t)
+            if sub.weights.ndim == 2:
+                with pytest.raises(ParameterError, match="past"):
+                    dynamics.occupation_sums(sub, BALANCED, t)
         near = 0.99 * limit
         assert abs(norm_sq(evolve(sub, BALANCED, near)) - 1.0) < 1e-9
         assert np.all(np.isfinite(single_qubit_map(sub, near)))
@@ -608,6 +613,69 @@ def test_binned_diagonal_gram_matches_the_grid():
             gram = x @ x.transpose(0, 2, 1)
             binned = (dynamics._trig_rows(cos, sin) @ bins)[:, :, 0]
             assert np.allclose(binned, gram[:, rows, cols], rtol=0.0, atol=1e-14)
+
+
+# --------------------------------------------------------------- spectral sums
+
+
+def walked(monkeypatch, f, *args):
+    """``f(*args)`` with every sweep walked, however long."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "SPECTRAL_MIN_TIMES", math.inf)
+        return f(*args)
+
+
+SPECTRAL_CASES = ("(1, 4) from level 0", "windowed (36, 36)", "stationary, beta^2 = 4", "from t = 2500", "SPECTRAL_MIN_TIMES times")
+
+
+def spectral_case(name):
+    p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
+    w = windowed_amplitudes(36.0, 1e-12)  # from level 2
+    long = np.linspace(0.0, 2500.0, 2001)
+    return {
+        "(1, 4) from level 0": (vibrating_subsystem(p, wa, wb), long),
+        "windowed (36, 36)": (vibrating_subsystem(ModeParams(alpha_mag=6.0, beta_mag=6.0), w, w), long),
+        "stationary, beta^2 = 4": (stationary_subsystem(p, wb), long),
+        # the grid of verify's correlation floor
+        "from t = 2500": (vibrating_subsystem(*default_params()), np.linspace(2500.0, 5000.0, 1251)),
+        "SPECTRAL_MIN_TIMES times": (vibrating_subsystem(p, wa, wb), np.linspace(0.0, 900.0, dynamics.SPECTRAL_MIN_TIMES)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", SPECTRAL_CASES)
+def test_spectral_sums_match_the_walk(name, monkeypatch):
+    # the map within 1e-11, the occupation sums within 1e-11 of their largest
+    # value, and the first time walked, bit for bit
+    sub, times = spectral_case(name)
+    calls = []
+    tone_sums = dynamics._tone_sums
+    monkeypatch.setattr(dynamics, "_tone_sums", lambda *args: calls.append(1) or tone_sums(*args))
+    process, expected = single_qubit_map(sub, times), walked(monkeypatch, single_qubit_map, sub, times)
+    assert calls, "the sweep did not take the spectral sums"
+    assert np.max(np.abs(process - expected)) <= 1e-11
+    assert np.array_equal(process[0], expected[0])
+    if sub.weights.ndim == 2:
+        tilted = QubitAmplitudes(0.6, 0.8j)
+        sums = dynamics.occupation_sums(sub, tilted, times)
+        exact = walked(monkeypatch, dynamics.occupation_sums, sub, tilted, times)
+        assert np.all(np.abs(sums - exact) <= 1e-11 * np.max(np.abs(exact), axis=0))
+        assert np.array_equal(sums[0], exact[0])
+
+
+def test_short_or_non_uniform_sweeps_walk(monkeypatch):
+    # one time fewer than SPECTRAL_MIN_TIMES, and a longer grid that is not
+    # uniform, take the walk alone and give its values bit for bit
+    p, wa, wb = default_params(alpha_sq=1.0, beta_sq=4.0)
+    sub = vibrating_subsystem(p, wa, wb)
+    short = np.linspace(0.0, 900.0, dynamics.SPECTRAL_MIN_TIMES - 1)
+    uneven = np.linspace(0.0, 30.0, dynamics.SPECTRAL_MIN_TIMES + 100) ** 2
+    for times in (short, uneven):
+        expected = walked(monkeypatch, single_qubit_map, sub, times)
+        sums = walked(monkeypatch, dynamics.occupation_sums, sub, BALANCED, times)
+        monkeypatch.setattr(dynamics, "_tone_sums", None)  # a call would fail
+        assert np.array_equal(single_qubit_map(sub, times), expected)
+        assert np.array_equal(dynamics.occupation_sums(sub, BALANCED, times), sums)
+        monkeypatch.undo()
 
 
 def test_map_rejects_bad_density_shape():

@@ -1,12 +1,17 @@
 """Coherent-state weights and truncation selection."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibqubit import ParameterError, coherent_amplitudes
+import vibqubit
+from vibqubit import ParameterError, coherent_amplitudes, fock
 from vibqubit.fock import MIN_LEVELS, choose_truncation, choose_window, windowed_amplitudes
 
 EPS = float(np.finfo(float).eps)
@@ -221,3 +226,34 @@ def test_underflowing_mean_puts_the_mass_at_level_zero():
     assert w.weights[0] == 1.0
     assert w.tail_mass == 0.0
     assert not np.any(coherent_amplitudes(0.0, 6, 2).weights)
+
+
+
+def test_window_past_its_tail_bound_raises(monkeypatch):
+    # a window one level short at the top drops more mass than the bound
+    window = choose_window
+    monkeypatch.setattr(fock, "choose_window", lambda mean, tol: (window(mean, tol)[0], window(mean, tol)[1] - 1))
+    for mean in (4.0, 36.0):
+        with pytest.raises(ParameterError, match=r"drops tail mass .* past the bound"):
+            windowed_amplitudes(mean, 1e-12)
+
+
+def test_window_tail_check_survives_optimized_mode():
+    # the check used to be an assert, which python -O strips: the short
+    # window came back quietly
+    script = (
+        "import sys\n"
+        "from vibqubit import fock\n"
+        "window = fock.choose_window\n"
+        "fock.choose_window = lambda mean, tol: (window(mean, tol)[0], window(mean, tol)[1] - 1)\n"
+        "try:\n"
+        "    fock.windowed_amplitudes(4.0, 1e-12)\n"
+        "except fock.ParameterError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    src = str(Path(vibqubit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    assert proc.stdout.startswith("1 the window [0, 24] drops tail mass"), proc.stdout

@@ -88,8 +88,10 @@ def test_g2_column_is_nan_when_undefined():
 
 
 def chunked(mode):
-    """A scenario whose default chunks each hold many times."""
+    """A scenario whose default chunks each hold many times, short enough
+    to be walked."""
     amplitudes = {} if mode.endswith("-excited") else {"c_e": 0.6, "c_g": 0.8j}
+    assert 301 < dynamics.SPECTRAL_MIN_TIMES
     return Scenario(mode=mode, alpha_sq=1.0, beta_sq=4.0, n_steps=301, t_max=900.0,
                     **amplitudes)
 
