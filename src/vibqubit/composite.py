@@ -5,6 +5,14 @@ The two-qubit basis ordering is ``|1> = |e1 e2|, |2> = |e1 g2>,
 the qubits never interact, the composite evolution is the tensor product
 of each subsystem's single-qubit process matrix, which preserves product
 structure and trace exactly.  Densities are plain arrays, 4x4 or (T, 4, 4).
+
+In the frame ``V^H rho V`` of ``V = diag(1, i)`` a qubit's dilation is real:
+both branches of either basis state are real tables.  So a two-qubit density
+that starts real in the frame ``D rho D^H``, ``D = V^H (x) V^H =
+diag(1, -i, -i, -1)`` (a Bell state with real amplitudes), stays exactly
+real there at every time, and :func:`concurrence`, unchanged by local
+unitaries, solves a real eigenproblem for it; any other density takes the
+complex route.
 """
 from __future__ import annotations
 
@@ -28,6 +36,10 @@ _SPIN_FLIP = np.array(
         [-1.0, 0.0, 0.0, 0.0],
     ]
 )
+#: elementwise ``D rho D^H`` for the local unitary ``D = diag(1, -i, -i, -1)``,
+#: ``V^H (x) V^H`` with ``V = diag(1, i)`` in the (e, g) basis; its entries
+#: are 1, -1 and +-i, so framing a density is exact
+_FRAME = np.outer([1, -1j, -1j, -1], [1, 1j, 1j, -1])
 
 
 @dataclass(frozen=True)
@@ -66,17 +78,17 @@ def evolve_two_qubit(rho0: np.ndarray, m: np.ndarray) -> np.ndarray:
     Equivalent to mapping each basis operator ``|x1><y1| (x) |x2><y2|`` to
     the tensor product of its single-qubit images, which is exactly the
     expansion of the evolved Bell-state densities into the sixteen
-    single-qubit transition terms.  A map stacked over T times gives a
-    (T, 4, 4) density.
+    single-qubit transition terms: with ``rho0`` laid out as ``r0``, rows
+    ``(i1, j1)`` of qubit 1 and columns ``(i2, j2)`` of qubit 2, that is
+    ``m @ r0 @ m.T``.  A map stacked over T times gives a (T, 4, 4) density.
     """
     rho0, m = np.asarray(rho0), np.asarray(m)
     if rho0.shape != (4, 4) or m.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 density and a (..., 4, 4) map, got shapes {rho0.shape} and {m.shape}")
     lead = m.shape[:-2]
-    rho4 = rho0.reshape(2, 2, 2, 2)  # axes (i1, i2, j1, j2)
-    m4 = m.reshape(lead + (2, 2, 2, 2))  # axes (i', j', i, j)
-    out = np.einsum("...aceg,...bdfh,efgh->...abcd", m4, m4, rho4)
-    return out.reshape(lead + (4, 4))
+    r0 = rho0.reshape(2, 2, 2, 2).swapaxes(1, 2).reshape(4, 4)
+    out = m @ r0 @ np.swapaxes(m, -1, -2)
+    return out.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
 
 
 def _as_density(rho) -> np.ndarray:
@@ -95,21 +107,33 @@ def _as_density(rho) -> np.ndarray:
 def concurrence(rho) -> float | np.ndarray:
     """Entanglement of a two-qubit density matrix, in [0, 1].
 
-    Computed from the eigenvalues of ``rho @ rho_tilde`` where
-    ``rho_tilde = (sy (x) sy) conj(rho) (sy (x) sy)``: with the eigenvalues
-    lambda_i sorted in decreasing order, the result is
-    ``max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))`` (Wootters, PRL 80,
-    2245, 1998).
+    With ``rho_tilde = (sy (x) sy) conj(rho) (sy (x) sy)`` and l1 >= ... >= l4
+    the square roots of the eigenvalues of ``rho @ rho_tilde``, the result is
+    ``max(0, l1 - l2 - l3 - l4)`` (Wootters, PRL 80, 2245, 1998).  It is
+    unchanged by a local unitary, so ``rho`` is first taken to the frame
+    ``rho' = D rho D^H`` of ``D = diag(1, -i, -i, -1)`` (module docstring).
 
-    ``rho @ rho_tilde`` is similar to a positive semidefinite matrix, so
-    its eigenvalues are real and non-negative up to rounding; tiny negative
-    real parts are clamped to zero before the square roots.  Accepts a 4x4
-    array or a (T, 4, 4) stack, for which it returns the T values.
+    Every density this package builds from a Bell state with real
+    amplitudes is real there, exactly: each entry of the process matrix is
+    real or imaginary with an exact zero in the other part, and the frame's
+    phases are exact.  For a real symmetric ``rho'``, ``rho' rho'_tilde = (rho' S)^2`` with ``S = sy
+    (x) sy``, so the l_i are the moduli of the eigenvalues of the real
+    ``rho' S``: no square roots of rounding-level eigenvalues near a pure
+    state, where they cost about half the digits.  A frame with any nonzero
+    imaginary entry (oracle densities, complex amplitudes, other local
+    frames) takes the complex route: the eigenvalues of ``rho @ rho_tilde``,
+    real and non-negative up to rounding, clamped at zero before their
+    square roots.  Accepts a 4x4 array or a (T, 4, 4) stack, for which it
+    returns the T values.
     """
     mat = _as_density(rho)
-    rho_tilde = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
-    lam = np.linalg.eigvals(mat @ rho_tilde).real
-    roots = np.sqrt(np.sort(np.maximum(lam, 0.0), axis=-1))  # increasing
+    framed = _FRAME * mat
+    if framed.imag.any():
+        rho_tilde = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
+        lam = np.linalg.eigvals(mat @ rho_tilde).real
+        roots = np.sqrt(np.sort(np.maximum(lam, 0.0), axis=-1))  # increasing
+    else:
+        roots = np.sort(np.abs(np.linalg.eigvals(framed.real @ _SPIN_FLIP)), axis=-1)
     value = np.clip(roots[..., 3] - roots[..., 2] - roots[..., 1] - roots[..., 0], 0.0, 1.0)
     return value if mat.ndim > 2 else float(value)
 

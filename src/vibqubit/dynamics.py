@@ -462,6 +462,16 @@ def reduced_qubit_density(psi: np.ndarray) -> np.ndarray:
 _BASIS_BRANCHES = np.concatenate(
     [_coefficients(QubitAmplitudes(1.0, 0.0)), _coefficients(QubitAmplitudes(0.0, 1.0))]
 )
+#: (16, 16) product taking a flattened Gram matrix to the flattened process
+#: matrix: entry (output levels, input states) is the trace of branch u times
+#: conj(branch v), u = 2 * (input state) + (output level); each branch reads
+#: one basis table, so each column holds one 1, -1 or +-i and the product is exact
+_TRACE_MAP = (
+    np.einsum("ua,vb->abuv", _BASIS_BRANCHES, _BASIS_BRANCHES.conj())
+    .reshape(4, 4, 2, 2, 2, 2)
+    .transpose(0, 1, 3, 5, 2, 4)
+    .reshape(16, 16)
+)
 
 
 def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
@@ -504,11 +514,7 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
         g[:, rows, cols] = g[:, cols, rows] = (_trig_rows(cos, sin) @ bins)[:, :, 0]
         g[:, :2, 2:] = x[:, :2] @ x[:, 2:].transpose(0, 2, 1)
     gram[:, 2:, :2] = gram[:, :2, 2:].transpose(0, 2, 1)
-    k = _BASIS_BRANCHES
-    # traces[u, v] = sum over the grid of branch u times conj(branch v)
-    traces = k @ gram @ k.conj().T
-    # branch u = 2 * (input basis state) + (output qubit level)
-    matrix = traces.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(-1, 4, 4)
+    matrix = (gram.reshape(-1, 16) @ _TRACE_MAP).reshape(-1, 4, 4)
     return matrix if np.ndim(t) else matrix[0]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from vibqubit import (
     BellSpec,
+    Scenario,
     ModeParams,
     ParameterError,
     bell_state,
@@ -17,9 +18,14 @@ from vibqubit import (
     vibrating_subsystem,
     windowed_amplitudes,
 )
+from vibqubit import dynamics, scenarios
+from vibqubit.fock import TAIL_TOL
 from vibqubit.oracle import two_subsystem_oracle
 
 HALF = 2.0**-0.5
+EPS = np.finfo(float).eps
+#: the local unitary V^H (x) V^H, V = diag(1, i) in the (e, g) basis
+FRAME = np.kron(np.diag([1.0, -1j]), np.diag([1.0, -1j]))
 
 
 def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0, tail_tol=1e-12):
@@ -215,6 +221,97 @@ def test_concurrence_input_validation():
         concurrence(np.eye(4))  # trace 4
     with pytest.raises(ParameterError):
         two_qubit_coherence(np.eye(4))  # trace 4, as for concurrence
+
+
+def test_evolve_two_qubit_matches_the_kronecker_map():
+    # m (x) m on vec(rho0) in the (i1, j1, i2, j2) order that the map pairs
+    pair = lambda x: x.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+    unpair = lambda v: v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    m = vibrating_map(np.linspace(0.0, 2500.0, 301), alpha_sq=1.0, beta_sq=4.0)
+    for spec in (BellSpec("phi", 0.6, 0.8), BellSpec("psi", 0.6, 0.8)):
+        rho0 = bell_state(spec)
+        reference = np.array([unpair(np.kron(x, x) @ pair(rho0)) for x in m])
+        assert np.max(np.abs(evolve_two_qubit(rho0, m) - reference)) <= 1e-15
+
+
+# ------------------------------------------------- concurrence: the real frame
+
+
+def _route_spy(monkeypatch):
+    """dtypes of the matrices concurrence hands to eigvals: float on the
+    real route, complex on the complex route."""
+    seen, eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        seen.append(np.asarray(a).dtype.kind)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return seen
+
+
+def _scenario_densities(monkeypatch, s):
+    """Concurrence of every density ``run_scenario(s)`` builds, each recorded
+    with the route it took."""
+    densities, seen = [], _route_spy(monkeypatch)
+
+    def recording(rho):
+        densities.append(rho)
+        return concurrence(rho)
+
+    monkeypatch.setattr(scenarios, "concurrence", recording)
+    scenarios.run_scenario(s)
+    return densities, seen
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi"])
+@pytest.mark.parametrize("steps", [301, 2001], ids=["walked", "spectral"])
+@pytest.mark.parametrize("intensity", [4.0, 36.0], ids=["from level 0", "windowed"])
+@pytest.mark.parametrize("mode", ["concurrence", "stationary-concurrence"])
+def test_scenario_densities_are_real_in_the_frame(monkeypatch, mode, intensity, steps, kind):
+    # the real route rests on exact zeros: a change that breaks them must fail here
+    assert 301 < dynamics.SPECTRAL_MIN_TIMES <= 2001
+    assert (windowed_amplitudes(intensity, TAIL_TOL).n_min > 0) == (intensity > 30)
+    s = Scenario(mode, bell_kind=kind, mu=0.6, alpha_sq=intensity, beta_sq=intensity, n_steps=steps)
+    densities, seen = _scenario_densities(monkeypatch, s)
+    assert len(densities) == 1 and densities[0].shape == (steps, 4, 4)
+    assert not (FRAME @ densities[0] @ FRAME.conj().T).imag.any()
+    assert seen == ["f"]
+
+
+def test_real_route_matches_an_independent_real_route():
+    # near the pure initial state, where the complex route loses half its digits
+    s = Scenario("concurrence", alpha_sq=1.0, beta_sq=4.0, n_steps=2001)
+    sub = vibrating_subsystem(s.mode_params(), windowed_amplitudes(1.0, TAIL_TOL), windowed_amplitudes(4.0, TAIL_TOL))
+    rho = scenarios._two_qubit_density(s, sub, s.times()[:40])
+    framed = (FRAME @ rho @ FRAME.conj().T).real
+    # l_i are the eigenvalues of sqrt(rho') S sqrt(rho'), up to sign
+    w, v = np.linalg.eigh(framed)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ np.swapaxes(v, -1, -2)
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    spin_flip = np.kron(sy, sy).real
+    lam = np.sort(np.abs(np.linalg.eigvalsh(root @ spin_flip @ root)), axis=-1)
+    reference = np.clip(lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0], 0.0, 1.0)
+    assert np.max(np.abs(concurrence(rho) - reference)) <= 1e-12
+
+
+def test_density_not_real_in_the_frame_takes_the_complex_route(monkeypatch):
+    rho = evolve_two_qubit(bell_state(BellSpec("psi", 0.6, 0.8)), vibrating_map(np.linspace(0.0, 300.0, 41)))
+    hadamard = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) * HALF, np.eye(2))
+    rotated = hadamard @ rho @ hadamard.T
+    assert (FRAME @ rotated @ FRAME.conj().T).imag.any()
+    seen = _route_spy(monkeypatch)
+    value, expected = concurrence(rotated), concurrence(rho)
+    assert seen == ["c", "f"]
+    assert np.max(np.abs(value - expected)) <= 3 * math.sqrt(16 * EPS)
+
+
+def test_walked_and_spectral_concurrence_agree(monkeypatch):
+    s = Scenario("concurrence", alpha_sq=1.0, beta_sq=4.0, n_steps=2001)
+    spectral = np.array(scenarios.run_scenario(s))[:, 2]
+    monkeypatch.setattr(dynamics, "SPECTRAL_MIN_TIMES", math.inf)
+    walked = np.array(scenarios.run_scenario(s))[:, 2]
+    assert np.max(np.abs(walked - spectral)) <= 1e-10
 
 
 def test_evolve_two_qubit_input_validation():
