@@ -6,9 +6,9 @@ import pytest
 
 from vibqubit import (
     BellSpec,
-    Scenario,
     ModeParams,
     ParameterError,
+    Scenario,
     bell_state,
     coherent_amplitudes,
     concurrence,
@@ -251,8 +251,8 @@ def _route_spy(monkeypatch):
 
 
 def _scenario_densities(monkeypatch, s):
-    """Concurrence of every density ``run_scenario(s)`` builds, each recorded
-    with the route it took."""
+    """Every density ``run_scenario(s)`` hands to concurrence, and the route
+    each took."""
     densities, seen = [], _route_spy(monkeypatch)
 
     def recording(rho):
