@@ -12,7 +12,7 @@ from .composite import (
     evolve_two_qubit,
     two_qubit_coherence,
 )
-from .curves import Envelope, revival_peak, upper_envelope
+from .curves import first_crossing_below, revival_peak, upper_envelope
 from .dynamics import (
     ModeParams,
     QubitAmplitudes,
@@ -42,7 +42,6 @@ __all__ = [
     "BellSpec",
     "CoherentAmplitudes",
     "CorrelationSample",
-    "Envelope",
     "ModeParams",
     "ParameterError",
     "QubitAmplitudes",
@@ -58,6 +57,7 @@ __all__ = [
     "emit_plot_script",
     "evolve",
     "evolve_two_qubit",
+    "first_crossing_below",
     "l1_coherence",
     "mode_moments",
     "reduced_qubit_density",

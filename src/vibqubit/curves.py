@@ -4,47 +4,19 @@ The qualitative verification checks compare decay/revival timescales of
 signals that oscillate under a slowly varying envelope.  Sampling the raw
 signal would confuse a node of the carrier with actual decay, so the checks
 run on the upper envelope: local maxima joined by linear interpolation,
-with the endpoints kept so the envelope spans the full window.
+with the endpoints kept so the envelope spans the full window.  An envelope
+is a plain array on the signal's own time grid.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Upper envelope of a sampled signal, defined on the original grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def first_crossing_below(self, threshold: float) -> float:
-        """Earliest time the envelope reaches ``threshold`` from above.
-
-        The crossing is located by linear interpolation between the
-        bracketing samples.  Returns ``inf`` when the envelope never
-        drops below the threshold, and the start time when it already
-        begins there.
-        """
-        below = self.values < threshold
-        if not np.any(below):
-            return float("inf")
-        k = int(np.argmax(below))
-        if k == 0:
-            return float(self.times[0])
-        t0, t1 = self.times[k - 1], self.times[k]
-        v0, v1 = self.values[k - 1], self.values[k]
-        if v0 == v1:
-            return float(t1)
-        return float(t0 + (v0 - threshold) * (t1 - t0) / (v0 - v1))
-
-
-def upper_envelope(times: np.ndarray, values: np.ndarray) -> Envelope:
-    """Join the local maxima of ``values`` (plus both endpoints).
+def upper_envelope(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Join the local maxima of ``values`` (plus both endpoints); the
+    envelope at every one of ``times``.
 
     The comparison is non-strict on both sides so plateaus anchor the
     envelope too.  That matters for signals clamped at zero (concurrence
@@ -62,8 +34,28 @@ def upper_envelope(times: np.ndarray, values: np.ndarray) -> Envelope:
         (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
     ) + 1
     anchors = np.concatenate([[0], interior, [times.size - 1]])
-    envelope = np.interp(times, times[anchors], values[anchors])
-    return Envelope(times=times, values=envelope)
+    return np.interp(times, times[anchors], values[anchors])
+
+
+def first_crossing_below(times: np.ndarray, envelope: np.ndarray, threshold: float) -> float:
+    """Earliest time ``envelope`` reaches ``threshold`` from above.
+
+    The crossing is located by linear interpolation between the
+    bracketing samples.  Returns ``inf`` when the envelope never
+    drops below the threshold, and the start time when it already
+    begins there.
+    """
+    below = np.asarray(envelope) < threshold
+    if not np.any(below):
+        return float("inf")
+    k = int(np.argmax(below))
+    if k == 0:
+        return float(times[0])
+    t0, t1 = times[k - 1], times[k]
+    v0, v1 = envelope[k - 1], envelope[k]
+    if v0 == v1:
+        return float(t1)
+    return float(t0 + (v0 - threshold) * (t1 - t0) / (v0 - v1))
 
 
 def revival_peak(
@@ -75,13 +67,14 @@ def revival_peak(
     window that starts after the collapse has flattened out and the peak of
     the envelope inside it is the revival center.
     """
-    env = upper_envelope(times, values)
+    envelope = upper_envelope(times, values)
+    times = np.asarray(times, dtype=float)
     lo, hi = window
     if not lo < hi:
         raise ParameterError("window must satisfy lo < hi")
-    mask = (env.times >= lo) & (env.times <= hi)
+    mask = (times >= lo) & (times <= hi)
     if not np.any(mask):
         raise ParameterError("window contains no samples")
     inside = np.flatnonzero(mask)
-    k = inside[int(np.argmax(env.values[inside]))]
-    return float(env.times[k]), float(env.values[k])
+    k = inside[int(np.argmax(envelope[inside]))]
+    return float(times[k]), float(envelope[k])

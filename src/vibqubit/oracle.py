@@ -19,6 +19,7 @@ the modes in C order.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -30,7 +31,7 @@ from scipy.sparse.linalg import expm_multiply
 from .composite import BellSpec
 from .dynamics import ModeParams, QubitAmplitudes
 from .errors import ParameterError, ResourceError
-from .fock import CoherentAmplitudes, coherent_amplitudes
+from .fock import CoherentAmplitudes
 
 #: upper bound on transient allocations of the two-subsystem oracle,
 #: as a multiple of one joint state vector
@@ -209,17 +210,17 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def two_subsystem_oracle(
-    spec: BellSpec, p: ModeParams, n_max: int, t: float | np.ndarray
+    spec: BellSpec, rate: float, modes: Sequence[CoherentAmplitudes], t: float | np.ndarray
 ) -> np.ndarray:
     """Evolve two identical subsystems jointly and trace out all four modes.
 
     Propagates one subsystem's ``|e>`` and ``|g>`` branches, tensored with
-    coherent modes truncated at ``n_max``, as one pair of
-    :func:`evolve_coherent` over the times ``t`` (the subsystem Hamiltonians
-    commute); at each time it forms the Bell-weighted joint vector and
-    partial-traces the four modes away, leaving the kept mass as trace.  One
-    extra Fock level per mode keeps boundary leakage inside the space.  A
-    scalar ``t`` gives (4, 4), an array of T times (T, 4, 4).
+    the coherent ``modes``, as one pair of :func:`evolve_coherent` at
+    ``rate`` over the times ``t`` (the subsystem Hamiltonians commute); at
+    each time it forms the Bell-weighted joint vector and partial-traces the
+    four modes away, leaving the kept mass as trace.  One extra Fock level
+    per mode keeps boundary leakage inside the space.  A scalar ``t`` gives
+    (4, 4), an array of T times (T, 4, 4).
 
     Raises
     ------
@@ -227,7 +228,7 @@ def two_subsystem_oracle(
         If one time's joint state vector (with workspace) would exceed
         :data:`JOINT_BYTES`; the required size is reported.
     """
-    dim_sub = 2 * (n_max + 2) ** 2
+    dim_sub = 2 * math.prod(w.n_max + 2 for w in modes)
     required = 16 * dim_sub * dim_sub * _JOINT_WORKSPACE_FACTOR
     if required > JOINT_BYTES:
         raise ResourceError(
@@ -237,10 +238,9 @@ def two_subsystem_oracle(
             budget_bytes=JOINT_BYTES,
         )
 
-    modes = (coherent_amplitudes(p.alpha_mag, n_max), coherent_amplitudes(p.beta_mag, n_max))
     basis = (QubitAmplitudes(1.0, 0.0), QubitAmplitudes(0.0, 1.0))
     times = np.asarray(t, dtype=float)
-    phi = evolve_coherent(p.rabi_rate, basis, modes, times.reshape(-1))
+    phi = evolve_coherent(rate, basis, modes, times.reshape(-1))
     rho = np.stack([_joint_density(spec, e, g) for e, g in phi])
     return rho.reshape(times.shape + (4, 4))
 

@@ -10,14 +10,14 @@ the coherent weights and the block frequencies are fixed once per
 scenario, and each row function takes the whole time grid: the map rows
 use the (T, 4, 4) process matrix that ``single_qubit_map`` builds chunk by
 chunk, and the moments row takes ``mode_moments`` of every time in one
-call, summed per block frequency without building a state.  Every row is
-a pure function of the scenario and its time, the same whatever the chunk
-length, and the CSV writer pins the formatting so reruns are
+call, summed per block frequency without building a state.  A sweep is one
+float table, a row per time, which the CSV writer formats as it is.  Every
+row is a pure function of the scenario and its time, the same whatever the
+chunk length, and the CSV writer pins the formatting so reruns are
 byte-identical.
 """
 from __future__ import annotations
 
-import io
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -196,8 +196,8 @@ class Scenario:
         return ("t", "kappa_t" if stationary else "eta_kappa_t") + spec.columns
 
 
-def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
-    """Evaluate every row of the scenario, in row order.
+def run_scenario(s: Scenario) -> np.ndarray:
+    """The scenario's (n_steps, len(columns)) float table, one row per time.
 
     The evolution is set up once, on each mode's narrowest Fock window at
     :data:`vibqubit.fock.TAIL_TOL` (:func:`vibqubit.fock.choose_window`),
@@ -216,7 +216,7 @@ def run_scenario(s: Scenario) -> list[tuple[float, ...]]:
     table[:, 0] = times
     table[:, 1] = sub.rate * times
     table[:, 2:] = np.column_stack(spec.row(s, sub, times))
-    return list(map(tuple, table.tolist()))
+    return table
 
 
 def _format_value(x: float) -> str:
@@ -242,26 +242,22 @@ def _metadata_lines(s: Scenario) -> list[str]:
     return [f"# {key} = {value}" for key, value in values.items()]
 
 
-def render_csv(s: Scenario, rows: list[tuple[float, ...]]) -> str:
-    """Render metadata, header, and rows; 9 significant digits throughout.
+def render_csv(s: Scenario, table: np.ndarray) -> str:
+    """Render metadata, header, and the rows of ``table``; 9 significant
+    digits throughout.
 
     Nothing about where or how the rows were computed enters the bytes:
     the output path is not a :class:`Scenario` field but an argument of the
     CLI, and every row is the same whatever chunk length the sweep used, so
     the same physics serializes to the same bytes wherever it was computed.
     """
-    buf = io.StringIO()
-    for line in _metadata_lines(s):
-        buf.write(line + "\n")
-    buf.write(",".join(s.columns()) + "\n")
-    template = ",".join(["%.8e"] * len(s.columns())) + "\n"  # same text as _format_value
-    for row in rows:
-        buf.write(template % tuple(row))
-    return buf.getvalue()
+    head = "".join(line + "\n" for line in _metadata_lines(s)) + ",".join(s.columns()) + "\n"
+    row = ",".join(["%.8e"] * len(s.columns())) + "\n"  # same text as _format_value
+    return head + (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def write_csv(s: Scenario, rows: list[tuple[float, ...]], path: str) -> None:
-    text = render_csv(s, rows)
+def write_csv(s: Scenario, table: np.ndarray, path: str) -> None:
+    text = render_csv(s, table)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -29,7 +29,7 @@ from .composite import (
     evolve_two_qubit,
     two_qubit_coherence,
 )
-from .curves import revival_peak, upper_envelope
+from .curves import first_crossing_below, revival_peak, upper_envelope
 from .dynamics import (
     ModeParams,
     QubitAmplitudes,
@@ -211,13 +211,13 @@ def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
         spec = BellSpec(kind, 2.0 ** -0.5, 2.0 ** -0.5)
         rho0 = bell_state(spec)
         for intensity in (0.0, 1.0):
-            p = ModeParams(alpha_mag=math.sqrt(intensity), beta_mag=math.sqrt(intensity))
-            w = coherent_amplitudes(p.alpha_mag, n_max)
+            w = coherent_amplitudes(math.sqrt(intensity), n_max)
+            p = ModeParams(alpha_mag=w.magnitude, beta_mag=w.magnitude)
             times = np.linspace(0.0, 1000.0, 16)
             m = single_qubit_map(vibrating_subsystem(p, w, w), times)
             via_map = evolve_two_qubit(rho0, m)
             audit.record(via_map)
-            via_oracle = two_subsystem_oracle(spec, p, n_max, times)
+            via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), times)
             audit.record(via_oracle)
             points += [(_trace_distance(a, b), kind, intensity, t) for a, b, t in zip(via_map, via_oracle, times)]
     worst, kind, intensity, t = max(points, key=lambda point: point[0])
@@ -277,7 +277,7 @@ def _trend_maps() -> Iterator[np.ndarray]:
 
 
 def _first_below(values: np.ndarray, level: float) -> float:
-    return upper_envelope(_TREND_TIMES, values).first_crossing_below(level)
+    return first_crossing_below(_TREND_TIMES, upper_envelope(_TREND_TIMES, values), level)
 
 
 def check_qualitative_coherence_trend(audit: DensityAuditor) -> CheckResult:
@@ -343,7 +343,7 @@ def check_revival(audit: DensityAuditor) -> CheckResult:
     rho = apply_map(single_qubit_map(stationary_subsystem(p, wb), times), _EXCITED_RHO)
     audit.record(rho[::200])
     signal = np.abs(rho[:, 0, 0].real - 0.5)
-    collapse = upper_envelope(times, signal).first_crossing_below(0.05)
+    collapse = first_crossing_below(times, upper_envelope(times, signal), 0.05)
     expected = 2.0 * math.pi * wb.magnitude / p.kappa
     if collapse >= times[-1]:
         return CheckResult(

@@ -38,6 +38,7 @@ import pytest
 from vibqubit import (
     ModeParams,
     QubitAmplitudes,
+    first_crossing_below,
     upper_envelope,
     windowed_amplitudes,
 )
@@ -93,7 +94,7 @@ def _half_times(times: np.ndarray, m: np.ndarray) -> tuple[float, float]:
     zeta = 2.0 * np.abs(rho[:, 0, 1])
     rho2 = np.einsum("tacij,tbdkl,ikjl->tabcd", m, m, BELL_PHI, optimize=True).reshape(-1, 4, 4)
     tqc = np.sum(np.abs(rho2), axis=(1, 2)) - np.sum(np.abs(np.einsum("tii->ti", rho2)), axis=1)
-    return tuple(upper_envelope(times, v).first_crossing_below(v[0] / 2.0) for v in (zeta, tqc))
+    return tuple(first_crossing_below(times, upper_envelope(times, v), v[0] / 2.0) for v in (zeta, tqc))
 
 
 @pytest.fixture(scope="module")

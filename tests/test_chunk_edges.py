@@ -115,7 +115,7 @@ def test_chunk_edges_match_oracle(mode, monkeypatch):
     chunks = [chunk for chunk, _, _ in dynamics._phases(sub, s.times())]
     assert len(chunks) >= 3 and chunks[-1].stop - chunks[-1].start < TIMES_PER_CHUNK
 
-    rows = np.array(run_scenario(s))[:, 2:]
+    rows = run_scenario(s)[:, 2:]
     expected = oracle_values(s)
     bound = tolerances(s, expected)
     for chunk in chunks:

@@ -104,7 +104,7 @@ def test_two_qubit_map_matches_joint_oracle_vacuum():
     for t in (0.0, 40.0, 111.0):
         m = single_qubit_map(vibrating_subsystem(p, w, w), t)
         via_map = evolve_two_qubit(rho0, m)
-        via_oracle = two_subsystem_oracle(spec, p, 4, t)
+        via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), t)
         assert np.max(np.abs(via_map - via_oracle)) < 1e-9
 
 
@@ -116,7 +116,7 @@ def test_two_qubit_map_matches_joint_oracle_coherent():
     rho0 = bell_state(spec)
     m = single_qubit_map(vibrating_subsystem(p, w, w), 400.0)
     via_map = evolve_two_qubit(rho0, m)
-    via_oracle = two_subsystem_oracle(spec, p, n_max, 400.0)
+    via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), 400.0)
     diff = via_map - via_oracle
     trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     assert trace_distance < 1e-6
@@ -164,7 +164,7 @@ def test_concurrence_matches_oracle_route():
     t = math.pi / 4 / p.rabi_rate
     m = single_qubit_map(vibrating_subsystem(p, w, w), t)
     via_map = concurrence(evolve_two_qubit(bell_state(spec), m))
-    via_oracle = concurrence(two_subsystem_oracle(spec, p, 4, t))
+    via_oracle = concurrence(two_subsystem_oracle(spec, p.rabi_rate, (w, w), t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)
 
 
@@ -203,12 +203,12 @@ def test_phi_and_psi_concurrence_pointwise_close():
 def test_phi_and_psi_concurrence_same_time_behavior():
     # what does hold: identical envelope extinction time and matching
     # revival heights, i.e. the same time behavior at envelope level
-    from vibqubit import upper_envelope
+    from vibqubit import first_crossing_below, upper_envelope
 
     times = np.linspace(0.0, 2500.0, 501)
     c_phi, c_psi = _phi_psi_curves(times)
-    ext_phi = upper_envelope(times, c_phi).first_crossing_below(0.01)
-    ext_psi = upper_envelope(times, c_psi).first_crossing_below(0.01)
+    ext_phi = first_crossing_below(times, upper_envelope(times, c_phi), 0.01)
+    ext_psi = first_crossing_below(times, upper_envelope(times, c_psi), 0.01)
     assert abs(ext_phi - ext_psi) <= 2.0 * (times[1] - times[0])
     late = times > 200.0
     assert abs(float(np.max(c_phi[late])) - float(np.max(c_psi[late]))) < 0.05
@@ -308,9 +308,9 @@ def test_density_not_real_in_the_frame_takes_the_complex_route(monkeypatch):
 
 def test_walked_and_spectral_concurrence_agree(monkeypatch):
     s = Scenario("concurrence", alpha_sq=1.0, beta_sq=4.0, n_steps=2001)
-    spectral = np.array(scenarios.run_scenario(s))[:, 2]
+    spectral = scenarios.run_scenario(s)[:, 2]
     monkeypatch.setattr(dynamics, "SPECTRAL_MIN_TIMES", math.inf)
-    walked = np.array(scenarios.run_scenario(s))[:, 2]
+    walked = scenarios.run_scenario(s)[:, 2]
     assert np.max(np.abs(walked - spectral)) <= 1e-10
 
 
@@ -343,5 +343,5 @@ def test_tqc_matches_l1_of_oracle_density():
     t = 1.0 / p.rabi_rate
     m = single_qubit_map(vibrating_subsystem(p, w, w), t)
     via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m))
-    via_oracle = l1_coherence(two_subsystem_oracle(spec, p, n_max, t))
+    via_oracle = l1_coherence(two_subsystem_oracle(spec, p.rabi_rate, (w, w), t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vibqubit import Envelope, ParameterError, revival_peak, upper_envelope
+from vibqubit import ParameterError, first_crossing_below, revival_peak, upper_envelope
 
 
 def test_envelope_of_damped_carrier():
@@ -16,10 +16,10 @@ def test_envelope_of_damped_carrier():
     peaks = t[np.isclose(t % 1.0, 0.5, atol=1e-9)]
     for tp in peaks[1:-1]:
         k = int(np.argmin(np.abs(t - tp)))
-        assert env.values[k] == pytest.approx(math.exp(-0.2 * tp), rel=0.05)
+        assert env[k] == pytest.approx(math.exp(-0.2 * tp), rel=0.05)
     # the envelope never dips to the carrier's zeros away from the ends
     interior = (t > 1.0) & (t < 19.0)
-    assert np.min(env.values[interior]) > 0.5 * np.min(np.exp(-0.2 * t[interior]))
+    assert np.min(env[interior]) > 0.5 * np.min(np.exp(-0.2 * t[interior]))
 
 
 def test_envelope_anchors_inside_plateau():
@@ -28,29 +28,27 @@ def test_envelope_anchors_inside_plateau():
     signal = np.where((t > 3.0) & (t < 7.0), 0.0, 1.0)
     env = upper_envelope(t, signal)
     mid = (t > 4.0) & (t < 6.0)
-    assert np.max(env.values[mid]) == 0.0
+    assert np.max(env[mid]) == 0.0
 
 
 def test_envelope_monotone_signal():
     t = np.linspace(0.0, 5.0, 101)
     env = upper_envelope(t, t.copy())
-    assert np.allclose(env.values, t, atol=1e-12)
+    assert np.allclose(env, t, atol=1e-12)
 
 
 def test_first_crossing_below_interpolates():
-    env = Envelope(times=np.array([0.0, 1.0, 2.0]), values=np.array([1.0, 0.5, 0.0]))
+    times, env = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0])
     # linear segment from 0.5 at t=1 to 0.0 at t=2 hits 0.25 at t=1.5
-    assert env.first_crossing_below(0.25) == pytest.approx(1.5)
+    assert first_crossing_below(times, env, 0.25) == pytest.approx(1.5)
 
 
 def test_first_crossing_never():
-    env = Envelope(times=np.array([0.0, 1.0]), values=np.array([1.0, 0.9]))
-    assert env.first_crossing_below(0.5) == math.inf
+    assert first_crossing_below(np.array([0.0, 1.0]), np.array([1.0, 0.9]), 0.5) == math.inf
 
 
 def test_first_crossing_already_below():
-    env = Envelope(times=np.array([2.0, 3.0]), values=np.array([0.1, 0.05]))
-    assert env.first_crossing_below(0.5) == 2.0
+    assert first_crossing_below(np.array([2.0, 3.0]), np.array([0.1, 0.05]), 0.5) == 2.0
 
 
 def test_envelope_input_validation():

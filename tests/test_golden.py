@@ -63,7 +63,7 @@ def write_golden(path: Path = GOLDEN) -> None:
     from vibqubit.verify import run_all
 
     arrays = {
-        _key(mode, a, b): np.array(run_scenario(scenario(mode, a, b)))
+        _key(mode, a, b): run_scenario(scenario(mode, a, b))
         for mode in ALL_MODES
         for a, b in INTENSITIES
     }
@@ -94,7 +94,7 @@ def test_rows_match_golden(mode, golden):
     for a, b in INTENSITIES:
         s = scenario(mode, a, b)
         old = golden[_key(mode, a, b)]
-        new = np.array(run_scenario(s))
+        new = run_scenario(s)
         assert new.shape == old.shape
         assert np.array_equal(new[:, :2], old[:, :2]), (mode, a, b)  # t and the scaled axis
         bound = _phase_bound(s)

@@ -29,6 +29,8 @@ from vibqubit.oracle import (
 BALANCED = QubitAmplitudes(2.0**-0.5, 2.0**-0.5)
 EXCITED = QubitAmplitudes(1.0, 0.0)
 HALF = 2.0**-0.5
+#: the sideband rate eta * kappa of the default parameters
+RATE = ModeParams().rabi_rate
 
 
 # ------------------------------------------------------------------ Hamiltonian
@@ -273,17 +275,17 @@ def test_fidelity_validation():
 
 def test_joint_oracle_at_time_zero_is_bell_state():
     spec = BellSpec("phi", HALF, HALF)
-    p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    rho = two_subsystem_oracle(spec, p, 4, 0.0)
+    w = coherent_amplitudes(0.0, 4)
+    rho = two_subsystem_oracle(spec, RATE, (w, w), 0.0)
     assert np.allclose(rho, bell_state(spec), atol=1e-12)
 
 
 def test_joint_oracle_density_invariants():
     spec = BellSpec("psi", HALF, HALF)
-    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
-    kept = (1.0 - coherent_amplitudes(1.0, 10).tail_mass) ** 4  # four truncated modes
+    w = coherent_amplitudes(1.0, 10)
+    kept = (1.0 - w.tail_mass) ** 4  # four truncated modes
     for t in (0.0, 200.0, 800.0):
-        rho = two_subsystem_oracle(spec, p, 10, t)
+        rho = two_subsystem_oracle(spec, RATE, (w, w), t)
         assert abs(np.trace(rho).real - kept) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
@@ -291,10 +293,10 @@ def test_joint_oracle_density_invariants():
 
 def test_joint_oracle_memory_budget(monkeypatch):
     spec = BellSpec("phi", HALF, HALF)
-    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    w = coherent_amplitudes(1.0, 12)
     monkeypatch.setattr(oracle, "JOINT_BYTES", 1024)
     with pytest.raises(ResourceError) as err:
-        two_subsystem_oracle(spec, p, 12, 1.0)
+        two_subsystem_oracle(spec, RATE, (w, w), 1.0)
     assert err.value.required_bytes > err.value.budget_bytes
     assert err.value.budget_bytes == 1024
 
@@ -302,22 +304,22 @@ def test_joint_oracle_memory_budget(monkeypatch):
 @pytest.mark.parametrize("kind", ["phi", "psi"])
 def test_joint_oracle_time_grid_matches_scalar_calls(kind):
     spec = BellSpec(kind, HALF, HALF)
-    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    w = coherent_amplitudes(1.0, 12)
     times = np.linspace(0.0, 1000.0, 16)
-    grid = two_subsystem_oracle(spec, p, 12, times)
+    grid = two_subsystem_oracle(spec, RATE, (w, w), times)
     assert grid.shape == (16, 4, 4)
     for k, t in enumerate(times):
-        scalar = two_subsystem_oracle(spec, p, 12, float(t))
+        scalar = two_subsystem_oracle(spec, RATE, (w, w), float(t))
         assert scalar.shape == (4, 4)
         assert np.max(np.abs(grid[k] - scalar)) < 1e-12
 
 
 def test_joint_oracle_time_grid_validation(monkeypatch):
     spec = BellSpec("phi", HALF, HALF)
-    p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
+    small, large = coherent_amplitudes(1.0, 6), coherent_amplitudes(1.0, 12)
     for bad in (np.nan, -1.0):
         with pytest.raises(ParameterError):
-            two_subsystem_oracle(spec, p, 6, np.array([0.0, bad, 2.0]))
+            two_subsystem_oracle(spec, RATE, (small, small), np.array([0.0, bad, 2.0]))
     monkeypatch.setattr(oracle, "JOINT_BYTES", 1024)
     with pytest.raises(ResourceError):
-        two_subsystem_oracle(spec, p, 12, np.linspace(0.0, 10.0, 4))
+        two_subsystem_oracle(spec, RATE, (large, large), np.linspace(0.0, 10.0, 4))

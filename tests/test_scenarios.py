@@ -29,10 +29,9 @@ def small(mode, **kw):
 
 def test_all_modes_run():
     for mode in ALL_MODES:
-        rows = run_scenario(small(mode))
-        assert len(rows) == 5
-        columns = Scenario(mode=mode).columns()
-        assert all(len(row) == len(columns) for row in rows)
+        table = run_scenario(small(mode))
+        assert isinstance(table, np.ndarray) and table.dtype == float
+        assert table.shape == (5, len(Scenario(mode=mode).columns()))
 
 
 def test_pairs_conserved_past_the_old_intensity_limit():
@@ -42,7 +41,7 @@ def test_pairs_conserved_past_the_old_intensity_limit():
     wa, wb = (windowed_amplitudes(x, TAIL_TOL) for x in (s.alpha_sq, s.beta_sq))
     assert wa.n_min > 0
     tol = sum((w.n_max + 1) * w.tail_mass / (1 - w.tail_mass) for w in (wa, wb))
-    rows = np.array(run_scenario(s))
+    rows = run_scenario(s)
     assert np.all(np.isfinite(rows))
     drift = rows[:, 2] - rows[:, 3] - (s.alpha_sq - s.beta_sq)
     assert np.max(np.abs(drift)) <= tol + 64 * np.finfo(float).eps * s.alpha_sq
@@ -100,8 +99,7 @@ def test_rows_identical_across_chunk_lengths(monkeypatch):
     default = {mode: run_scenario(chunked(mode)) for mode in ALL_MODES}
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1)  # one time per chunk
     for mode in ALL_MODES:
-        rows = run_scenario(chunked(mode))
-        assert np.asarray(rows).tobytes() == np.asarray(default[mode]).tobytes(), mode
+        assert run_scenario(chunked(mode)).tobytes() == default[mode].tobytes(), mode
 
 
 def test_scenario_validation():
@@ -192,6 +190,17 @@ def test_csv_metadata_carries_full_parameter_set(tmp_path, read_csv):
     assert columns == ["t", "eta_kappa_t", "value"]
     # the output path must not leak into the bytes
     assert "out" not in metadata
+
+
+def test_csv_rows_format_each_value_as_written():
+    # the one format over the flat table writes what formatting each value
+    # alone writes, nan included: g2 is undefined at t = 0 with both modes empty
+    s = small("mode-correlation", alpha_sq=0.0, beta_sq=0.0, c_e=1.0, c_g=0.0)
+    table = run_scenario(s)
+    assert math.isnan(table[0, 6])
+    rows = render_csv(s, table).splitlines()[-len(table):]
+    assert rows == [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]
+    assert rows[0].endswith(",nan")
 
 
 def test_csv_numeric_format():
