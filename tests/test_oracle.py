@@ -299,6 +299,10 @@ def test_joint_oracle_memory_budget(monkeypatch):
         two_subsystem_oracle(spec, RATE, (w, w), 1.0)
     assert err.value.required_bytes > err.value.budget_bytes
     assert err.value.budget_bytes == 1024
+    # sized from each mode's own grid, levels 0 .. n_max + 1
+    with pytest.raises(ResourceError) as err:
+        two_subsystem_oracle(spec, RATE, (w, coherent_amplitudes(1.0, 6)), 1.0)
+    assert err.value.required_bytes == 16 * oracle._JOINT_WORKSPACE_FACTOR * (2 * 14 * 8) ** 2
 
 
 @pytest.mark.parametrize("kind", ["phi", "psi"])

@@ -192,15 +192,19 @@ def test_csv_metadata_carries_full_parameter_set(tmp_path, read_csv):
     assert "out" not in metadata
 
 
-def test_csv_rows_format_each_value_as_written():
+@pytest.mark.parametrize("intensity", [0.0, 1.0], ids=["nan", "negative"])
+def test_csv_rows_format_each_value_as_written(intensity):
     # the one format over the flat table writes what formatting each value
-    # alone writes, nan included: g2 is undefined at t = 0 with both modes empty
-    s = small("mode-correlation", alpha_sq=0.0, beta_sq=0.0, c_e=1.0, c_g=0.0)
+    # alone writes: with both modes empty g2 is undefined at t = 0, and from
+    # unit intensities cross_corr goes negative
+    s = small("mode-correlation", alpha_sq=intensity, beta_sq=intensity, c_e=1.0, c_g=0.0)
     table = run_scenario(s)
-    assert math.isnan(table[0, 6])
     rows = render_csv(s, table).splitlines()[-len(table):]
     assert rows == [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]
-    assert rows[0].endswith(",nan")
+    if intensity == 0.0:
+        assert rows[0].endswith(",nan")
+    else:
+        assert (table[:, 5] < 0).any()
 
 
 def test_csv_numeric_format():
