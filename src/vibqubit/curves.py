@@ -5,13 +5,27 @@ signals that oscillate under a slowly varying envelope.  Sampling the raw
 signal would confuse a node of the carrier with actual decay, so the checks
 run on the upper envelope: local maxima joined by linear interpolation,
 with the endpoints kept so the envelope spans the full window.  An envelope
-is a plain array on the signal's own time grid.
+is a plain array on the signal's own time grid.  A signal is at least two
+finite samples on strictly increasing times; anything else raises
+:class:`ParameterError`, so a NaN cannot read as a plausible crossing time.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ParameterError
+
+
+def _signal(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``values`` as float arrays, checked as a signal (module docstring)."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.shape != values.shape or times.size < 2:
+        raise ParameterError("times and values must be equal-length 1-d arrays (>= 2 points)")
+    # written so that NaN fails too
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise ParameterError("times and values must be finite, times strictly increasing")
+    return times, values
 
 
 def upper_envelope(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -24,12 +38,7 @@ def upper_envelope(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     inside the flat stretch and the interpolant would bridge straight
     across it, instead of reporting the envelope as extinct there.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-        raise ParameterError("times and values must be equal-length 1-d arrays (>= 2 points)")
-    if np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be strictly increasing")
+    times, values = _signal(times, values)
     interior = np.flatnonzero(
         (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
     ) + 1
@@ -45,7 +54,10 @@ def first_crossing_below(times: np.ndarray, envelope: np.ndarray, threshold: flo
     drops below the threshold, and the start time when it already
     begins there.
     """
-    below = np.asarray(envelope) < threshold
+    times, envelope = _signal(times, envelope)
+    if not np.isfinite(threshold):
+        raise ParameterError(f"threshold must be finite, got {threshold!r}")
+    below = envelope < threshold
     if not np.any(below):
         return float("inf")
     k = int(np.argmax(below))

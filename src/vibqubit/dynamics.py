@@ -56,10 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .fock import CoherentAmplitudes
+from .fock import TAIL_TOL, CoherentAmplitudes, windowed_amplitudes
 
 _NORM_TOL = 1e-12
-_AMPLITUDE_RTOL = 1e-9
 _LAMB_DICKE_MAX = 0.3
 _LAMB_DICKE_WARN = 0.1
 #: rad a rotation angle may lose to rounding (theta * eps); a phase error d
@@ -151,7 +150,8 @@ class Subsystem:
     up[k-1]`` (``freqs[0] = 0`` stands in below the grid, where every
     weight is 0 or level 0 is dark, so ``down`` is 0 on the low faces).
     ``freqs`` lists each distinct block frequency once, so the trig runs
-    once per distinct frequency and is gathered onto the grid.
+    once per distinct frequency and is gathered onto the grid.  ``modes``
+    holds the coherent input of each axis, the weights the oracle starts from.
     """
 
     weights: np.ndarray
@@ -162,16 +162,7 @@ class Subsystem:
     freqs: np.ndarray
     up: np.ndarray
     down: np.ndarray
-
-
-def _check_consistent(
-    p: ModeParams, wa: CoherentAmplitudes | None, wb: CoherentAmplitudes
-) -> None:
-    for name, mag, w in (("alpha_mag", p.alpha_mag, wa), ("beta_mag", p.beta_mag, wb)):
-        if w is not None and abs(w.magnitude - mag) > _AMPLITUDE_RTOL * max(1.0, mag):
-            raise ParameterError(
-                f"{name}={mag} disagrees with the supplied weights (magnitude {w.magnitude})"
-            )
+    modes: tuple[CoherentAmplitudes, ...]
 
 
 def _axis(w: CoherentAmplitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -207,30 +198,31 @@ def _subsystem(rate: float, *modes: CoherentAmplitudes) -> Subsystem:
         freqs=freqs,
         up=up,
         down=_shift(up, -1),
+        modes=modes,
     )
 
 
-def vibrating_subsystem(
-    p: ModeParams, wa: CoherentAmplitudes, wb: CoherentAmplitudes
-) -> Subsystem:
+def vibrating_subsystem(p: ModeParams) -> Subsystem:
     """Blocks ``|e, m, n> <-> |g, m+1, n+1>`` at ``eta*kappa*sqrt((m+1)(n+1))``.
 
-    Each grid axis spans the input window plus one level past it at each
-    end, so the norm deficit of every evolved state equals the truncation
-    tail mass of the two coherent inputs, independent of time.
+    Each mode's weights lie on its window at :data:`~vibqubit.fock.TAIL_TOL`
+    (:func:`~vibqubit.fock.windowed_amplitudes` of ``alpha_mag**2`` and
+    ``beta_mag**2``), and each grid axis spans that window plus one level
+    past it at each end, so the norm deficit of every evolved state equals
+    the truncation tail mass of the two coherent inputs, independent of time.
 
     Raises :class:`ResourceError` if one grid would take more than
     :data:`GRID_BYTES`.
     """
-    _check_consistent(p, wa, wb)
-    return _subsystem(p.rabi_rate, wa, wb)
+    modes = (windowed_amplitudes(x * x, TAIL_TOL) for x in (p.alpha_mag, p.beta_mag))
+    return _subsystem(p.rabi_rate, *modes)
 
 
-def stationary_subsystem(p: ModeParams, wb: CoherentAmplitudes) -> Subsystem:
+def stationary_subsystem(p: ModeParams) -> Subsystem:
     """Motionless-qubit baseline: Jaynes-Cummings blocks ``|e, n> <-> |g, n+1>``
-    at ``kappa*sqrt(n+1)``; only the cavity mode participates."""
-    _check_consistent(p, None, wb)
-    return _subsystem(p.kappa, wb)
+    at ``kappa*sqrt(n+1)``; only the cavity mode participates, on its window
+    at :data:`~vibqubit.fock.TAIL_TOL`, and ``alpha_mag`` is not read."""
+    return _subsystem(p.kappa, windowed_amplitudes(p.beta_mag * p.beta_mag, TAIL_TOL))
 
 
 def _times(t: float | np.ndarray) -> np.ndarray:
@@ -431,8 +423,13 @@ def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) 
     with weight ``Re(k^H k)[u, v]``, ``k`` the branch coefficients of
     ``q0``, and that weight is 0 between the excited and ground branches:
     every term turns with one block frequency.  Times go through the walk
-    or the spectral sums (module docstring) and no table is built.
+    or the spectral sums (module docstring) and no table is built.  Raises
+    :class:`ParameterError` on a one-mode (stationary) subsystem.
     """
+    if sub.weights.ndim != 2:
+        raise ParameterError(
+            f"mode moments need the vibrational and cavity modes; the subsystem has {sub.weights.ndim}"
+        )
     times = _times(t)
     k = _coefficients(q0)
     weight = (k.conj().T @ k).real
@@ -479,7 +476,7 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
 
     It acts on vectorized 2x2 qubit densities, ordering (ee, eg, ge, gg),
     through :func:`apply_map`.  ``sub`` is the subsystem, e.g.
-    ``vibrating_subsystem(p, wa, wb)`` or ``stationary_subsystem(p, wb)``.
+    ``vibrating_subsystem(p)`` or ``stationary_subsystem(p)``.
     The two qubit basis states are evolved through the full dilation and
     the modes traced out, so the map is trace preserving and completely
     positive up to truncation error; the columns of the returned matrix are

@@ -81,10 +81,6 @@ def mode_moments(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> 
         If ``sub`` has one mode (a stationary subsystem) or a state has no
         weight on the grid.
     """
-    if sub.weights.ndim != 2:
-        raise ParameterError(
-            f"mode moments need the vibrational and cavity modes; the subsystem has {sub.weights.ndim}"
-        )
     total, n_a, n_b, joint = np.atleast_2d(occupation_sums(sub, q0, t)).T
     if np.any(total <= 0.0):
         raise ParameterError("cannot take moments of a zero state")

@@ -36,7 +36,7 @@ from .dynamics import (
     vibrating_subsystem,
 )
 from .errors import ParameterError
-from .fock import TAIL_TOL, windowed_amplitudes
+from .fock import TAIL_TOL
 from .observables import l1_coherence, mode_moments
 
 # The row functions name the kernels and observables they call, so those
@@ -204,13 +204,8 @@ def run_scenario(s: Scenario) -> np.ndarray:
     then the mode's row function evaluates the whole time grid.  The axis
     column is the subsystem's clock, its rate times t.
     """
-    p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
     spec, stationary = _split(s.mode)
-    if stationary:
-        sub = stationary_subsystem(p, wb)
-    else:
-        sub = vibrating_subsystem(p, windowed_amplitudes(s.alpha_sq, TAIL_TOL), wb)
+    sub = (stationary_subsystem if stationary else vibrating_subsystem)(s.mode_params())
     times = s.times()
     table = np.empty((times.size, 2 + len(spec.columns)))
     table[:, 0] = times

@@ -5,12 +5,12 @@ a :class:`DensityAuditor` that inspects every density matrix any of them
 produces, so the final invariant check covers every sampled point rather
 than a separate hand-picked set.
 
-Every check builds its coherent inputs with
-:func:`~vibqubit.fock.windowed_amplitudes` at the package's one tail
-tolerance :data:`vibqubit.fock.TAIL_TOL`, as sweeps do (only the two-qubit
-map check pins its grid size), and the oracle agreement is held to
-:data:`FIDELITY_DEFICIT`.  :func:`run_all` runs the checks in report order
-and times each call.
+Every check runs on the coherent inputs a subsystem builds from its mode
+parameters, the windows of :func:`~vibqubit.fock.windowed_amplitudes` at
+the package's one tail tolerance :data:`vibqubit.fock.TAIL_TOL`, as sweeps
+do; the oracle starts from the same weights (``Subsystem.modes``), and its
+agreement is held to :data:`FIDELITY_DEFICIT`.  :func:`run_all` runs the
+checks in report order and times each call.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .dynamics import (
     stationary_subsystem,
     vibrating_subsystem,
 )
-from .fock import TAIL_TOL, CoherentAmplitudes, coherent_amplitudes, windowed_amplitudes
 from .observables import l1_coherence, mode_moments
 from .oracle import evolve_coherent, fidelity, two_subsystem_oracle
 
@@ -95,13 +94,11 @@ class DensityAuditor:
         self.min_eigenvalue = min(self.min_eigenvalue, float(np.min(lowest)))
 
 
-def _inputs(a_sq: float, b_sq: float) -> tuple[ModeParams, CoherentAmplitudes, CoherentAmplitudes]:
-    """Mode parameters and both coherent weight sets at intensities
-    (alpha_sq, beta_sq), on the windows of :data:`~vibqubit.fock.TAIL_TOL`.
-    Every intensity verify uses lies below 27.6, so each window starts at
-    level 0."""
-    p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
-    return p, windowed_amplitudes(a_sq, TAIL_TOL), windowed_amplitudes(b_sq, TAIL_TOL)
+def _inputs(a_sq: float, b_sq: float) -> ModeParams:
+    """Mode parameters at intensities (alpha_sq, beta_sq).  Every intensity
+    verify uses lies below 27.6, so each window of
+    :data:`~vibqubit.fock.TAIL_TOL` starts at level 0."""
+    return ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
 
 
 def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
@@ -120,11 +117,11 @@ def check_oracle_equivalence(audit: DensityAuditor) -> CheckResult:
     checked = 0
     for a_sq in (0.0, 1.0, 3.0, 5.0):
         for b_sq in (0.0, 1.0, 3.0, 5.0):
-            p, wa, wb = _inputs(a_sq, b_sq)
-            sub = vibrating_subsystem(p, wa, wb)
+            p = _inputs(a_sq, b_sq)
+            sub = vibrating_subsystem(p)
             pair = (_EXCITED, _BALANCED)
             # one pass steps both states; exact has axes (time, state, qubit, m, n)
-            exact = evolve_coherent(p.rabi_rate, pair, (wa, wb), times)
+            exact = evolve_coherent(p.rabi_rate, pair, sub.modes, times)
             for j, q0 in enumerate(pair):
                 psi = evolve(sub, q0, times)
                 audit.record(reduced_qubit_density(psi))
@@ -151,9 +148,8 @@ def check_falsification(audit: DensityAuditor) -> CheckResult:
     implementation of the corrected coefficient keeps the same norm deficit
     at truncation level.
     """
-    p, wa, wb = _inputs(1.0, 1.0)
-    t = 2.0 / p.rabi_rate
-    sub = vibrating_subsystem(p, wa, wb)
+    sub = vibrating_subsystem(_inputs(1.0, 1.0))
+    t = 2.0 / sub.rate
     unshifted = dataclasses.replace(sub, weights_down=sub.weights)
     bad = reduced_qubit_density(evolve(unshifted, _BALANCED, t))
     good = reduced_qubit_density(evolve(sub, _BALANCED, t))
@@ -176,7 +172,7 @@ def check_map_consistency(audit: DensityAuditor) -> CheckResult:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         states.append(QubitAmplitudes(complex(v[0]), complex(v[1])))
-    sub = vibrating_subsystem(*_inputs(1.0, 1.0))
+    sub = vibrating_subsystem(_inputs(1.0, 1.0))
     times = np.linspace(0.0, 2500.0, 16)
     m = single_qubit_map(sub, times)
     worst = 0.0
@@ -205,19 +201,17 @@ def _trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
     """Local-map composition vs the four-mode joint oracle; the worst point is named past 16 eps."""
-    n_max = 12
     points = []  # (trace distance, kind, intensity, time) in loop order
     for kind in ("phi", "psi"):
         spec = BellSpec(kind, 2.0 ** -0.5, 2.0 ** -0.5)
         rho0 = bell_state(spec)
         for intensity in (0.0, 1.0):
-            w = coherent_amplitudes(math.sqrt(intensity), n_max)
-            p = ModeParams(alpha_mag=w.magnitude, beta_mag=w.magnitude)
+            p = _inputs(intensity, intensity)
+            sub = vibrating_subsystem(p)
             times = np.linspace(0.0, 1000.0, 16)
-            m = single_qubit_map(vibrating_subsystem(p, w, w), times)
-            via_map = evolve_two_qubit(rho0, m)
+            via_map = evolve_two_qubit(rho0, single_qubit_map(sub, times))
             audit.record(via_map)
-            via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), times)
+            via_oracle = two_subsystem_oracle(spec, p.rabi_rate, sub.modes, times)
             audit.record(via_oracle)
             points += [(_trace_distance(a, b), kind, intensity, t) for a, b, t in zip(via_map, via_oracle, times)]
     worst, kind, intensity, t = max(points, key=lambda point: point[0])
@@ -236,7 +230,7 @@ def check_two_qubit_map(audit: DensityAuditor) -> CheckResult:
 
 def check_anchors(audit: DensityAuditor) -> CheckResult:
     """Exactly known values at t = 0."""
-    sub = vibrating_subsystem(*_inputs(1.0, 1.0))
+    sub = vibrating_subsystem(_inputs(1.0, 1.0))
     balanced = reduced_qubit_density(evolve(sub, _BALANCED, 0.0))
     excited = reduced_qubit_density(evolve(sub, _EXCITED, 0.0))
     bell = bell_state(BellSpec("phi", 2.0 ** -0.5, 2.0 ** -0.5))
@@ -245,7 +239,7 @@ def check_anchors(audit: DensityAuditor) -> CheckResult:
     worst_c0 = 0.0
     for a_sq in (0.0, 1.0, 3.0, 5.0):
         for b_sq in (0.0, 1.0, 3.0, 5.0):
-            sub = vibrating_subsystem(*_inputs(a_sq, b_sq))
+            sub = vibrating_subsystem(_inputs(a_sq, b_sq))
             for q0 in (_EXCITED, _BALANCED):
                 sample = mode_moments(sub, q0, 0.0)
                 worst_c0 = max(worst_c0, abs(sample.cross_corr))
@@ -273,7 +267,7 @@ def _trend_maps() -> Iterator[np.ndarray]:
     """The process matrix over the trend grid for each beta_sq of the trend
     bound, at alpha_sq = 1."""
     for b_sq in (1.0, 2.0, 4.0):
-        yield single_qubit_map(vibrating_subsystem(*_inputs(1.0, b_sq)), _TREND_TIMES)
+        yield single_qubit_map(vibrating_subsystem(_inputs(1.0, b_sq)), _TREND_TIMES)
 
 
 def _first_below(values: np.ndarray, level: float) -> float:
@@ -322,7 +316,7 @@ def check_qualitative_entanglement_trends(audit: DensityAuditor) -> tuple[CheckR
 
 def check_correlation_floor(audit: DensityAuditor) -> CheckResult:
     """Late-window cross-correlation: positive floor iff the qubit starts balanced."""
-    sub = vibrating_subsystem(*_inputs(1.0, 1.0))
+    sub = vibrating_subsystem(_inputs(1.0, 1.0))
     times = np.linspace(2500.0, 5000.0, 1251)
     mins = {}
     for label, q0 in (("balanced", _BALANCED), ("excited", _EXCITED)):
@@ -338,13 +332,13 @@ def check_correlation_floor(audit: DensityAuditor) -> CheckResult:
 
 def check_revival(audit: DensityAuditor) -> CheckResult:
     """Stationary baseline shows the textbook collapse-revival timing."""
-    p, _, wb = _inputs(0.0, 25.0)
+    p = _inputs(0.0, 25.0)
     times = np.linspace(0.0, 60.0, 3001)
-    rho = apply_map(single_qubit_map(stationary_subsystem(p, wb), times), _EXCITED_RHO)
+    rho = apply_map(single_qubit_map(stationary_subsystem(p), times), _EXCITED_RHO)
     audit.record(rho[::200])
     signal = np.abs(rho[:, 0, 0].real - 0.5)
     collapse = first_crossing_below(times, upper_envelope(times, signal), 0.05)
-    expected = 2.0 * math.pi * wb.magnitude / p.kappa
+    expected = 2.0 * math.pi * p.beta_mag / p.kappa
     if collapse >= times[-1]:
         return CheckResult(
             name="stationary-revival-timing",

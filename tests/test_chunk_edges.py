@@ -17,8 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from vibqubit import QubitAmplitudes, dynamics, windowed_amplitudes
-from vibqubit.fock import TAIL_TOL
+from vibqubit import QubitAmplitudes, dynamics
 from vibqubit.oracle import evolve_coherent
 from vibqubit.scenarios import ALL_MODES, Scenario, run_scenario
 
@@ -39,15 +38,19 @@ def scenario(mode):
     )
 
 
+def subsystem(s):
+    stationary = s.mode.startswith("stationary-")
+    return (dynamics.stationary_subsystem if stationary else dynamics.vibrating_subsystem)(s.mode_params())
+
+
 def oracle_branches(s, *qubits):
-    """Evolved (T, K, 2, levels_a, levels_b) amplitudes of each qubit state x modes;
-    a stationary run has one level on mode a."""
-    p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
+    """Evolved (T, K, 2, levels_a, levels_b) amplitudes of each qubit state x
+    the modes of the scenario's subsystem; a stationary run has one level on
+    mode a."""
+    p, modes = s.mode_params(), subsystem(s).modes
     if s.mode.startswith("stationary-"):
-        return evolve_coherent(p.kappa, qubits, (wb,), s.times())[:, :, :, None]
-    wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
-    return evolve_coherent(p.rabi_rate, qubits, (wa, wb), s.times())
+        return evolve_coherent(p.kappa, qubits, modes, s.times())[:, :, :, None]
+    return evolve_coherent(p.rabi_rate, qubits, modes, s.times())
 
 
 def oracle_values(s):
@@ -90,8 +93,7 @@ def tolerances(s, values):
     if base == "concurrence":
         return np.array([2 * TRACE_DISTANCE + 3 * math.sqrt(16 * EPS)])
     # ||n_a|| and ||n_b|| are the largest grid indices
-    norm_a = windowed_amplitudes(s.alpha_sq, TAIL_TOL).n_max + 1
-    norm_b = windowed_amplitudes(s.beta_sq, TAIL_TOL).n_max + 1
+    norm_a, norm_b = (w.n_max + 1 for w in subsystem(s).modes)
     n_a, n_b, joint = np.max(values[:, :3], axis=0)
     d_a, d_b, d_joint = (2 * TRACE_DISTANCE * x for x in (norm_a, norm_b, norm_a * norm_b))
     d_cross = d_joint + n_a * d_b + n_b * d_a
@@ -104,13 +106,7 @@ def tolerances(s, values):
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_chunk_edges_match_oracle(mode, monkeypatch):
     s = scenario(mode)
-    p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
-    if mode.startswith("stationary-"):
-        sub = dynamics.stationary_subsystem(p, wb)
-    else:
-        wa = windowed_amplitudes(s.alpha_sq, TAIL_TOL)
-        sub = dynamics.vibrating_subsystem(p, wa, wb)
+    sub = subsystem(s)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", TIMES_PER_CHUNK * 4 * sub.weights.nbytes)
     chunks = [chunk for chunk, _, _ in dynamics._phases(sub, s.times())]
     assert len(chunks) >= 3 and chunks[-1].stop - chunks[-1].start < TIMES_PER_CHUNK

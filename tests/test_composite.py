@@ -10,7 +10,6 @@ from vibqubit import (
     ParameterError,
     Scenario,
     bell_state,
-    coherent_amplitudes,
     concurrence,
     evolve_two_qubit,
     single_qubit_map,
@@ -28,11 +27,9 @@ EPS = np.finfo(float).eps
 FRAME = np.kron(np.diag([1.0, -1j]), np.diag([1.0, -1j]))
 
 
-def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0, tail_tol=1e-12):
+def vibrating_map(t, alpha_sq=1.0, beta_sq=1.0):
     p = ModeParams(alpha_mag=math.sqrt(alpha_sq), beta_mag=math.sqrt(beta_sq))
-    wa = windowed_amplitudes(alpha_sq, tail_tol)
-    wb = windowed_amplitudes(beta_sq, tail_tol)
-    return single_qubit_map(vibrating_subsystem(p, wa, wb), t)
+    return single_qubit_map(vibrating_subsystem(p), t)
 
 
 # ------------------------------------------------------------------ bell_state
@@ -99,24 +96,23 @@ def test_trace_and_hermiticity_preserved():
 def test_two_qubit_map_matches_joint_oracle_vacuum():
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    w = coherent_amplitudes(0.0, 4)
+    sub = vibrating_subsystem(p)
     rho0 = bell_state(spec)
     for t in (0.0, 40.0, 111.0):
-        m = single_qubit_map(vibrating_subsystem(p, w, w), t)
+        m = single_qubit_map(sub, t)
         via_map = evolve_two_qubit(rho0, m)
-        via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), t)
+        via_oracle = two_subsystem_oracle(spec, p.rabi_rate, sub.modes, t)
         assert np.max(np.abs(via_map - via_oracle)) < 1e-9
 
 
 def test_two_qubit_map_matches_joint_oracle_coherent():
     spec = BellSpec("psi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
-    n_max = 12
-    w = coherent_amplitudes(1.0, n_max)
+    sub = vibrating_subsystem(p)
     rho0 = bell_state(spec)
-    m = single_qubit_map(vibrating_subsystem(p, w, w), 400.0)
+    m = single_qubit_map(sub, 400.0)
     via_map = evolve_two_qubit(rho0, m)
-    via_oracle = two_subsystem_oracle(spec, p.rabi_rate, (w, w), 400.0)
+    via_oracle = two_subsystem_oracle(spec, p.rabi_rate, sub.modes, 400.0)
     diff = via_map - via_oracle
     trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     assert trace_distance < 1e-6
@@ -148,10 +144,9 @@ def test_vacuum_concurrence_closed_form():
     # the Bell coherence picks up cos^2(eta*kappa*t)
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    w = coherent_amplitudes(0.0, 4)
     rho0 = bell_state(spec)
     for t in (0.0, 19.0, math.pi / 4 / p.rabi_rate):
-        m = single_qubit_map(vibrating_subsystem(p, w, w), t)
+        m = single_qubit_map(vibrating_subsystem(p), t)
         value = concurrence(evolve_two_qubit(rho0, m))
         expected = math.cos(p.rabi_rate * t) ** 2
         assert value == pytest.approx(expected, abs=1e-12)
@@ -160,11 +155,11 @@ def test_vacuum_concurrence_closed_form():
 def test_concurrence_matches_oracle_route():
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    w = coherent_amplitudes(0.0, 4)
+    sub = vibrating_subsystem(p)
     t = math.pi / 4 / p.rabi_rate
-    m = single_qubit_map(vibrating_subsystem(p, w, w), t)
+    m = single_qubit_map(sub, t)
     via_map = concurrence(evolve_two_qubit(bell_state(spec), m))
-    via_oracle = concurrence(two_subsystem_oracle(spec, p.rabi_rate, (w, w), t))
+    via_oracle = concurrence(two_subsystem_oracle(spec, p.rabi_rate, sub.modes, t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)
 
 
@@ -282,7 +277,7 @@ def test_scenario_densities_are_real_in_the_frame(monkeypatch, mode, intensity, 
 def test_real_route_matches_an_independent_real_route():
     # near the pure initial state, where the complex route loses half its digits
     s = Scenario("concurrence", alpha_sq=1.0, beta_sq=4.0, n_steps=2001)
-    sub = vibrating_subsystem(s.mode_params(), windowed_amplitudes(1.0, TAIL_TOL), windowed_amplitudes(4.0, TAIL_TOL))
+    sub = vibrating_subsystem(s.mode_params())
     rho = scenarios._two_qubit_density(s, sub, s.times()[:40])
     framed = (FRAME @ rho @ FRAME.conj().T).real
     # l_i are the eigenvalues of sqrt(rho') S sqrt(rho'), up to sign
@@ -338,10 +333,9 @@ def test_tqc_matches_l1_of_oracle_density():
 
     spec = BellSpec("phi", HALF, HALF)
     p = ModeParams(alpha_mag=1.0, beta_mag=1.0)
-    n_max = 12
-    w = coherent_amplitudes(1.0, n_max)
+    sub = vibrating_subsystem(p)
     t = 1.0 / p.rabi_rate
-    m = single_qubit_map(vibrating_subsystem(p, w, w), t)
+    m = single_qubit_map(sub, t)
     via_map = two_qubit_coherence(evolve_two_qubit(bell_state(spec), m))
-    via_oracle = l1_coherence(two_subsystem_oracle(spec, p.rabi_rate, (w, w), t))
+    via_oracle = l1_coherence(two_subsystem_oracle(spec, p.rabi_rate, sub.modes, t))
     assert via_map == pytest.approx(via_oracle, abs=1e-8)

@@ -58,6 +58,31 @@ def test_envelope_input_validation():
         upper_envelope(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ParameterError):
         upper_envelope(np.array([1.0]), np.array([1.0]))
+    # a NaN time fails no difference test, and a NaN value anchored nothing:
+    # [1, NaN, 0.2, 0.1] gave a finite envelope that crosses 0.5 at t = 1.667
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            upper_envelope(np.array([0.0, bad, 2.0]), np.zeros(3))
+        with pytest.raises(ParameterError, match="finite"):
+            upper_envelope(np.arange(4.0), np.array([1.0, bad, 0.2, 0.1]))
+
+
+def test_first_crossing_input_validation():
+    times = np.arange(4.0)
+    with pytest.raises(ParameterError, match="finite"):
+        first_crossing_below(times, np.array([1.0, math.nan, 0.2, 0.1]), 0.5)
+    with pytest.raises(ParameterError, match="finite"):
+        first_crossing_below(np.array([0.0, math.nan, 2.0, 3.0]), np.array([1.0, 0.8, 0.2, 0.1]), 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="threshold"):
+            first_crossing_below(times, np.array([1.0, 0.8, 0.2, 0.1]), bad)
+    # unequal lengths returned 0.5 one way round and raised IndexError the other
+    with pytest.raises(ParameterError, match="equal-length"):
+        first_crossing_below(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0]), 0.5)
+    with pytest.raises(ParameterError, match="equal-length"):
+        first_crossing_below(np.array([0.0, 1.0]), np.array([1.0, 0.8, 0.0]), 0.5)
+    with pytest.raises(ParameterError, match="increasing"):
+        first_crossing_below(np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.8, 0.0]), 0.5)
 
 
 def test_revival_peak_location():

@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from vibqubit.dynamics import stationary_subsystem, vibrating_subsystem
-from vibqubit.fock import TAIL_TOL, windowed_amplitudes
 from vibqubit.scenarios import ALL_MODES, Scenario, run_scenario
 
 GOLDEN = Path(__file__).with_name("golden.npz")
@@ -79,12 +78,8 @@ def golden():
 
 def _phase_bound(s: Scenario) -> float:
     """``1e-12 + 16 theta_max eps`` for the sweep of ``s``."""
-    p = s.mode_params()
-    wb = windowed_amplitudes(s.beta_sq, TAIL_TOL)
-    if s.mode.startswith("stationary-"):
-        sub = stationary_subsystem(p, wb)
-    else:
-        sub = vibrating_subsystem(p, windowed_amplitudes(s.alpha_sq, TAIL_TOL), wb)
+    build = stationary_subsystem if s.mode.startswith("stationary-") else vibrating_subsystem
+    sub = build(s.mode_params())
     return 1e-12 + 16.0 * sub.rate * s.t_max * sub.freqs[-1] * EPS
 
 

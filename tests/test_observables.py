@@ -10,7 +10,6 @@ from vibqubit import (
     ModeParams,
     ParameterError,
     QubitAmplitudes,
-    coherent_amplitudes,
     evolve,
     l1_coherence,
     mode_moments,
@@ -18,7 +17,7 @@ from vibqubit import (
     stationary_subsystem,
     vibrating_subsystem,
 )
-from vibqubit.fock import windowed_amplitudes
+from vibqubit.dynamics import occupation_sums
 from vibqubit.oracle import evolve_coherent
 
 BALANCED = QubitAmplitudes(2.0**-0.5, 2.0**-0.5)
@@ -52,9 +51,7 @@ def test_l1_rejects_bad_input():
 
 
 def test_l1_tracks_evolved_qubit():
-    p = ModeParams()
-    w = windowed_amplitudes(1.0, 1e-12)
-    sub = vibrating_subsystem(p, w, w)
+    sub = vibrating_subsystem(ModeParams())
     zeta0 = l1_coherence(reduced_qubit_density(evolve(sub, BALANCED, 0.0)))
     assert zeta0 == pytest.approx(1.0, abs=1e-12)
     zeta_exc = l1_coherence(reduced_qubit_density(evolve(sub, EXCITED, 0.0)))
@@ -68,9 +65,7 @@ def test_cross_correlation_vanishes_at_time_zero():
     # the initial state is a product of the two modes, whatever the sizes
     for a_sq, b_sq in ((0.0, 0.0), (1.0, 1.0), (5.0, 5.0), (1.0, 4.0)):
         p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
-        wa = windowed_amplitudes(a_sq, 1e-12)
-        wb = windowed_amplitudes(b_sq, 1e-12)
-        sample = mode_moments(vibrating_subsystem(p, wa, wb), BALANCED, 0.0)
+        sample = mode_moments(vibrating_subsystem(p), BALANCED, 0.0)
         assert abs(sample.cross_corr) < 1e-12
         # truncated <n> sits below the exact mean by about n_max * tail
         assert sample.n_a_mean == pytest.approx(a_sq, abs=1e-9)
@@ -81,10 +76,9 @@ def test_vacuum_rabi_moments_closed_form():
     # from |e, 0, 0>: population sin^2 sits on |g, 1, 1>, so
     # <n_a> = <n_b> = <n_a n_b> = sin^2 and the correlation is sin^2 cos^2
     p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    w = coherent_amplitudes(0.0, 4)
     for t in (0.0, 11.0, 47.0):
         s = math.sin(p.rabi_rate * t) ** 2
-        sample = mode_moments(vibrating_subsystem(p, w, w), EXCITED, t)
+        sample = mode_moments(vibrating_subsystem(p), EXCITED, t)
         assert sample.n_a_mean == pytest.approx(s, abs=1e-12)
         assert sample.n_b_mean == pytest.approx(s, abs=1e-12)
         assert sample.joint_mean == pytest.approx(s, abs=1e-12)
@@ -94,12 +88,12 @@ def test_vacuum_rabi_moments_closed_form():
 
 def test_moments_match_oracle_operator_averages():
     p = ModeParams()
-    w = windowed_amplitudes(1.0, 1e-12)
     t = 150.0
-    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
+    sub = vibrating_subsystem(p)
+    sample = mode_moments(sub, BALANCED, t)
 
-    prob = np.abs(evolve_coherent(p.rabi_rate, [BALANCED], (w, w), [t])[0, 0]) ** 2
-    m = np.arange(w.n_max + 2, dtype=float)
+    prob = np.abs(evolve_coherent(p.rabi_rate, [BALANCED], sub.modes, [t])[0, 0]) ** 2
+    m = np.arange(sub.modes[0].n_max + 2, dtype=float)
     n_a = float(np.einsum("qmn,m->", prob, m))
     n_b = float(np.einsum("qmn,n->", prob, m))
     joint = float(np.einsum("qmn,m,n->", prob, m, m))
@@ -110,27 +104,24 @@ def test_moments_match_oracle_operator_averages():
 
 
 def test_g2_undefined_for_empty_modes():
-    p = ModeParams(alpha_mag=0.0, beta_mag=0.0)
-    w = coherent_amplitudes(0.0, 4)
-    sample = mode_moments(vibrating_subsystem(p, w, w), EXCITED, 0.0)
+    sub = vibrating_subsystem(ModeParams(alpha_mag=0.0, beta_mag=0.0))
+    sample = mode_moments(sub, EXCITED, 0.0)
     assert math.isnan(sample.g2)
-    populated = mode_moments(vibrating_subsystem(p, w, w), EXCITED, 10.0)
+    populated = mode_moments(sub, EXCITED, 10.0)
     assert math.isfinite(populated.g2)
 
 
 def test_g2_of_product_coherent_state_is_one():
-    p = ModeParams()
-    w = windowed_amplitudes(1.0, 1e-12)
-    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, 0.0)
+    sample = mode_moments(vibrating_subsystem(ModeParams()), BALANCED, 0.0)
     assert sample.g2 == pytest.approx(1.0, abs=1e-11)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.floats(min_value=0.0, max_value=2500.0, allow_nan=False))
 def test_moment_bounds(t):
-    p = ModeParams()
-    w = windowed_amplitudes(1.0, 1e-12)
-    sample = mode_moments(vibrating_subsystem(p, w, w), BALANCED, t)
+    sub = vibrating_subsystem(ModeParams())
+    w = sub.modes[0]
+    sample = mode_moments(sub, BALANCED, t)
     assert 0.0 <= sample.n_a_mean <= w.n_max + 1
     assert 0.0 <= sample.n_b_mean <= w.n_max + 1
     assert sample.joint_mean >= 0.0
@@ -160,7 +151,7 @@ def grid_moments(psi, sub):
 )
 def test_binned_moments_match_the_grid(a_sq, b_sq, times):
     p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
-    sub = vibrating_subsystem(p, windowed_amplitudes(a_sq, 1e-12), windowed_amplitudes(b_sq, 1e-12))
+    sub = vibrating_subsystem(p)
     assert (sub.origin == (0, 0)) == (a_sq < 100.0)
     for q0 in (EXCITED, BALANCED, TILTED):
         sample = mode_moments(sub, q0, times)
@@ -179,7 +170,9 @@ def test_binned_moments_match_the_grid(a_sq, b_sq, times):
 
 
 def test_moments_of_a_one_mode_subsystem_are_refused():
-    p = ModeParams(alpha_mag=0.0, beta_mag=1.0)
-    sub = stationary_subsystem(p, coherent_amplitudes(1.0, 14))
+    # refused where the sums read m and n, whichever of the two is called
+    sub = stationary_subsystem(ModeParams(alpha_mag=0.0, beta_mag=1.0))
     with pytest.raises(ParameterError, match="vibrational and cavity modes"):
         mode_moments(sub, BALANCED, 1.0)
+    with pytest.raises(ParameterError, match="vibrational and cavity modes"):
+        occupation_sums(sub, BALANCED, np.array([0.0, 1.0]))
