@@ -25,32 +25,34 @@ grid; every row of a sweep is the same whatever the cut.  :func:`single_qubit_ma
 keeps 16 numbers per time, :func:`occupation_sums` 4, and :func:`evolve`
 the whole state, a plain complex array of the excited and ground branches.
 
-Each term of a branch's squared norm turns with one block frequency f, so
-the map's diagonal Gram entries and the mode moments are sums over the
-distinct frequencies, weighted once per call by :func:`_bins`: a walked time
-costs one row of cos^2, sin^2 and cos sin (:func:`_trig_rows`).  Only the
-map's cross terms between the excited and ground branches pair two
-frequencies, f_up +- f_down, and the walk reads them from the basis tables.
-On a uniform grid of at least :data:`SPECTRAL_MIN_TIMES` times both
-functions instead take every such sum of tones, at 2 f or f_up +- f_down, at
-all times by one type-1 non-uniform FFT (:func:`_tone_sums`; Dutt & Rokhlin
-1993), within 5e-13 of the walk, and walk the first time only, so the
-map at t = 0 stays the identity.  Crossover, ms of the map walked / spectral
-by grid levels and T (best of 7, 2 vCPUs; the moments cross near it too):
+Each block ``|e, k> <-> |g, k+1>`` only moves weight between its two
+states: over the grid, ``|E|^2 + |G|^2`` weighted by levels ``l`` sums to its
+t = 0 value plus, per block, ``l(k+1) - l(k)`` times ``(|c_e|^2 w_k^2 -
+|c_g|^2 w_{k+1}^2) sin^2 + 2 Im(c_e conj(c_g)) w_k w_{k+1} cos sin`` of the
+block angle, and each within-branch Gram entry of the map is one such sin^2
+or cos sin sum, binned per distinct frequency once per call (:func:`_bins`):
+a walked time costs one row of each (:func:`_moved`).  Only the map's cross
+terms between the excited and ground branches pair two frequencies,
+f_up +- f_down, and the walk reads them from the basis tables.  On a uniform
+grid of at least :data:`SPECTRAL_MIN_TIMES` times both functions instead
+take every such sum of tones, at 2 f or f_up +- f_down, at all times by one
+type-1 non-uniform FFT (:func:`_tone_sums`; Dutt & Rokhlin 1993), within
+5e-13 of the walk, and walk the first time only, so the map at t = 0 stays
+the identity.  Crossover, ms of the map walked / spectral by grid levels
+and T (best of 7, one BLAS thread, 2 vCPUs; the moments cross near it too):
 
     T =          101        201        301        401        501       1001       2001
-    16 x 16      0.83/1.2    2.1/1.4    2.5/1.6    3.3/1.7      4/1.9    6.3/2.5     12/4.6
-    86 x 86        8.8/19      16/19      24/18      32/20      40/20      80/20     158/22
-    165 x 126       23/57      42/57      62/57      83/57     108/58     212/59     430/63
-    27          0.38/0.57  0.59/0.68  0.82/0.85     1/0.95      1.3/1    2.4/1.5    4.8/2.7
+    16 x 16       0.67/1    1.9/1.1    2.4/1.1      3/1.2    3.5/1.2    5.8/1.6     12/2.6
+    86 x 86      8.8/17      16/17      24/18      32/18      40/18      84/21     160/20
+    165 x 126     24/50      48/52      68/51      91/52     110/51     220/53     440/56
+    27          0.28/0.44  0.44/0.49   0.6/0.59  0.75/0.61  0.91/0.65   1.8/0.89    3.7/1.4
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +138,7 @@ def _coefficients(q0: QubitAmplitudes) -> np.ndarray:
     return np.array([[q0.c_e, -1j * q0.c_g, 0, 0], [0, 0, q0.c_g, -1j * q0.c_e]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subsystem:
     """The two-level blocks of one qubit and its modes, set up once per sweep.
 
@@ -146,12 +148,13 @@ class Subsystem:
     above level 0); ``weights_up[k] = weights[k+1]`` and
     ``weights_down[k] = weights[k-1]`` are the same grid moved by one level.
     The block through ``|e, k>`` turns at ``rate * freqs[up[k]]``, and the
-    one feeding ``|g, k>`` at ``rate * freqs[down[k]]``, ``down[k] =
-    up[k-1]`` (``freqs[0] = 0`` stands in below the grid, where every
-    weight is 0 or level 0 is dark, so ``down`` is 0 on the low faces).
+    one feeding ``|g, k>`` at ``rate * freqs[up[k-1]]`` (``freqs[0] = 0``
+    stands in below the grid, where every weight is 0 or level 0 is dark).
     ``freqs`` lists each distinct block frequency once, so the trig runs
     once per distinct frequency and is gathered onto the grid.  ``modes``
     holds the coherent input of each axis, the weights the oracle starts from.
+    ``weights_down`` feeds the D table of :func:`_rotate_blocks`, the map's
+    spectral cross terms and, moved up one level, the bins of the map and moments.
     """
 
     weights: np.ndarray
@@ -161,7 +164,6 @@ class Subsystem:
     rate: float
     freqs: np.ndarray
     up: np.ndarray
-    down: np.ndarray
     modes: tuple[CoherentAmplitudes, ...]
 
 
@@ -197,7 +199,6 @@ def _subsystem(rate: float, *modes: CoherentAmplitudes) -> Subsystem:
         rate=rate,
         freqs=freqs,
         up=up,
-        down=_shift(up, -1),
         modes=modes,
     )
 
@@ -293,36 +294,21 @@ def _rotate_blocks(sub: Subsystem, cos: np.ndarray, sin: np.ndarray) -> np.ndarr
     return tables
 
 
-#: (row, column) of the six Gram entries that turn with one block frequency,
-#: by the trig product they take (cos^2, sin^2, cos sin) and the block index
-#: they take it at (``up``, ``down``): AA and CC, BB and DD, AB and CD
-_DIAGONAL = (((0, 0), (2, 2)), ((1, 1), (3, 3)), ((0, 1), (2, 3)))
+def _bins(sub: Subsystem, grids: Iterable[np.ndarray]) -> np.ndarray:
+    """(F, C): column ``c`` sums ``grids[c]`` over the blocks of each
+    distinct frequency, ``freqs[up[k]]``, one grid at a time."""
+    up = sub.up.ravel()
+    return np.stack([np.bincount(up, g.ravel(), minlength=sub.freqs.size) for g in grids], axis=1)
 
 
-def _bins(sub: Subsystem, mix: np.ndarray, powers: tuple = (1.0,)) -> np.ndarray:
-    """(3, F, K P) weights that take a time's rows of :func:`_trig_rows` to
-    sums over the grid: column ``(k, p)`` of trig product ``b`` sums
-    ``mix[b, s, k] * powers[p]`` (a grid or a scalar) times the terms of
-    the Gram entry ``_DIAGONAL[b][s]``, binned by block frequency one grid
-    at a time."""
-    f, w = sub.freqs.size, sub.weights
-    out = np.zeros((3, f, mix.shape[-1], len(powers)))
-    for s, (index, shifted) in enumerate(((sub.up, sub.weights_up), (sub.down, sub.weights_down))):
-        for b, terms in enumerate((w * w, shifted * shifted, w * shifted)):
-            for k, p in itertools.product(np.flatnonzero(mix[b, s]), range(len(powers))):
-                weight = mix[b, s, k] * terms * powers[p]
-                out[b, :, k, p] += np.bincount(index.ravel(), weight.ravel(), minlength=f)
-    return out.reshape(3, f, -1)
-
-
-def _trig_rows(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """cos^2, sin^2 and cos sin of each time's block angles, (T, 3, 1, F):
-    one row per time and product, so a product with :func:`_bins` is one
-    per time."""
-    rows = np.empty((cos.shape[0], 3, 1, cos.shape[1]))
-    for row, (x, y) in zip(np.moveaxis(rows[:, :, 0], 1, 0), ((cos, cos), (sin, sin), (cos, sin))):
-        np.multiply(x, y, out=row)
-    return rows
+def _moved(cos: np.ndarray, sin: np.ndarray, sin2: np.ndarray, cossin: np.ndarray) -> np.ndarray:
+    """What the blocks have moved by each time of a chunk, (T, C + D): its row
+    of sin^2 of the F block angles times ``sin2`` (F, C), then its row of
+    cos sin times ``cossin`` (F, D); each time's sums are products of its
+    own rows, the same whatever the chunk."""
+    by_sin2 = (sin * sin)[:, None] @ sin2
+    by_cossin = (cos * sin)[:, None] @ cossin
+    return np.concatenate([by_sin2[:, 0], by_cossin[:, 0]], axis=1)
 
 
 def _step(sub: Subsystem, times: np.ndarray) -> float | None:
@@ -388,11 +374,11 @@ def _tone_sums(rate: float, times: np.ndarray, h: float, tones: np.ndarray, stre
     return (np.sqrt(np.pi / tau) * np.exp(k * k * tau))[:, None] * np.fft.ifft(grid.view(complex), axis=0)[k % n]
 
 
-def _spectral_rows(sub: Subsystem, times: np.ndarray, h: float, bins: np.ndarray) -> np.ndarray:
-    """``(_trig_rows(cos, sin) @ bins)[:, :, 0]`` at every time, from tones at ``2 f``."""
-    e = _tone_sums(sub.rate, times, h, 2 * sub.freqs, bins.transpose(1, 0, 2).reshape(sub.freqs.size, -1)).reshape(-1, *bins.shape[::2])
-    half = 0.5 * bins.sum(axis=1)  # cos^2 = (1 + cos 2x) / 2, sin^2 = (1 - cos 2x) / 2, cos sin = sin 2x / 2
-    return np.stack([half[0] + 0.5 * e[:, 0].real, half[1] - 0.5 * e[:, 1].real, 0.5 * e[:, 2].imag], axis=1)
+def _moved_tones(sub: Subsystem, times: np.ndarray, h: float, sin2: np.ndarray, cossin: np.ndarray) -> np.ndarray:
+    """:func:`_moved` at every time of a uniform grid of step ``h``, from tones
+    at ``2 f``: ``sin^2 = (1 - cos 2x) / 2`` and ``cos sin = sin 2x / 2``."""
+    e = _tone_sums(sub.rate, times, h, 2 * sub.freqs, np.concatenate([sin2, 1j * cossin], axis=1))
+    return 0.5 * (np.r_[sin2.sum(axis=0), np.zeros(cossin.shape[1])] - e.real)
 
 
 def evolve(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) -> np.ndarray:
@@ -419,28 +405,30 @@ def occupation_sums(sub: Subsystem, q0: QubitAmplitudes, t: float | np.ndarray) 
     """Sums over a two-mode grid of ``|E|^2 + |G|^2`` weighted by ``1``,
     ``m``, ``n`` and ``m n`` (absolute Fock levels), (4,) or (T, 4).
 
-    The Gram entry ``(u, v)`` of the basis tables enters ``|E|^2 + |G|^2``
-    with weight ``Re(k^H k)[u, v]``, ``k`` the branch coefficients of
-    ``q0``, and that weight is 0 between the excited and ground branches:
-    every term turns with one block frequency.  Times go through the walk
-    or the spectral sums (module docstring) and no table is built.  Raises
-    :class:`ParameterError` on a one-mode (stationary) subsystem.
+    Each is its t = 0 value plus what the blocks have moved (module
+    docstring), ``|c_e|^2`` reaching each upper state through ``weights_down``
+    moved up one level.  Times go through the walk or the spectral sums and
+    no table is built.  Raises :class:`ParameterError` on a one-mode
+    (stationary) subsystem.
     """
     if sub.weights.ndim != 2:
         raise ParameterError(
             f"mode moments need the vibrational and cavity modes; the subsystem has {sub.weights.ndim}"
         )
     times = _times(t)
-    k = _coefficients(q0)
-    weight = (k.conj().T @ k).real
-    mix = np.array([[[weight[u, v] * (1 if u == v else 2)] for u, v in pair] for pair in _DIAGONAL])
+    e, g, exchange = abs(q0.c_e) ** 2, abs(q0.c_g) ** 2, 2 * (q0.c_e * np.conj(q0.c_g)).imag
+    w, u, v = sub.weights, sub.weights_up, _shift(sub.weights_down, 1)
     m, n = (o + np.arange(size, dtype=float) for o, size in zip(sub.origin, sub.weights.shape))
-    bins = _bins(sub, mix, (1.0, m[:, None], n[None, :], np.multiply.outer(m, n)))
-    sums = np.empty((times.size, 4))
+    levels = [(1.0, x[:, None], y[None, :], np.multiply.outer(x, y)) for x, y in ((m, n), (m + 1, n + 1))]
+    lower, upper = e * w * w - g * u * u, e * v * v - g * u * u
+    sin2 = _bins(sub, (l1 * upper - l0 * lower for l0, l1 in zip(*levels)))
+    cossin = _bins(sub, (exchange * u * (l1 * v - l0 * w) for l0, l1 in zip(*levels)))
+    moved = np.empty((times.size, 8))
     if spectral := times.size >= SPECTRAL_MIN_TIMES and (h := _step(sub, times)) is not None:
-        sums[:] = _spectral_rows(sub, times, h, bins).sum(axis=1)
+        moved[:] = _moved_tones(sub, times, h, sin2, cossin)
     for chunk, cos, sin in _phases(sub, times[:1] if spectral else times):
-        sums[chunk] = (_trig_rows(cos, sin) @ bins)[:, :, 0].sum(axis=1)
+        moved[chunk] = _moved(cos, sin, sin2, cossin)
+    sums = moved[:, :4] + moved[:, 4:] + (e + g) * np.array([np.sum(l0 * w * w) for l0 in levels[0]])
     return sums if np.ndim(t) else sums[0]
 
 
@@ -486,30 +474,38 @@ def single_qubit_map(sub: Subsystem, t: float | np.ndarray) -> np.ndarray:
     distinct grid points and fail to reproduce the reduced density.
 
     Every mode trace is a fixed complex combination of the entries of one
-    real Gram matrix of the four basis tables per time.  Its six entries
-    within a branch are one-frequency sums (:func:`_bins`); only the cross
-    block between the (A, B) and (C, D) tables is summed over the grid.
-    Times go through the walk or the spectral sums (module docstring); only
-    the (T, 4, 4) result spans them all.
+    real Gram matrix of the four basis tables per time.  With ``S`` and ``X``
+    the sums of a grid times sin^2 and cos sin of the block angles, ``W =
+    sum(w^2)``, ``u = weights_up`` and ``v`` = ``weights_down`` moved up one
+    level, its entries within a branch are ``AA = W - S(w^2)``, ``BB =
+    S(u^2)``, ``CC = W - S(u^2)``, ``DD = S(v^2)``, ``AB = X(w u)`` and ``CD
+    = X(u v)``; only the cross block between the (A, B) and (C, D) tables is
+    summed over the grid.  Times go through the walk or the spectral sums
+    (module docstring); only the (T, 4, 4) result spans them all.
     """
     times = _times(t)
-    bins = _bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
-    rows, cols = np.moveaxis(np.array(_DIAGONAL), -1, 0)
+    w, u, v = sub.weights, sub.weights_up, _shift(sub.weights_down, 1)
+    sin2 = _bins(sub, (w * w, u * u, v * v))
+    cossin = _bins(sub, (w * u, u * v))
+    moved = np.empty((times.size, 5))
     gram = np.empty((times.size, 4, 4))
     if spectral := times.size >= SPECTRAL_MIN_TIMES and (h := _step(sub, times)) is not None:
-        gram[:, rows, cols] = gram[:, cols, rows] = _spectral_rows(sub, times, h, bins)
+        moved[:] = _moved_tones(sub, times, h, sin2, cossin)
         # AC, AD, BC and BD pair an up and a down angle: tones at f_up +- f_down
-        up, down = sub.freqs[sub.up].ravel(), sub.freqs[sub.down].ravel()
-        w, w_up, w_down = (x.ravel() for x in (sub.weights, sub.weights_up, sub.weights_down))
-        pairs = np.stack([w * w, w * w_down, w_up * w, w_up * w_down], axis=1)
+        up, down = sub.freqs[sub.up].ravel(), _shift(sub.freqs[sub.up], -1).ravel()
+        d = sub.weights_down
+        pairs = np.stack([w * w, w * d, u * w, u * d], axis=-1).reshape(-1, 4)
         e = _tone_sums(sub.rate, times, h, np.r_[up + down, up - down], np.r_[pairs * [1, 1, 1, -1], pairs * [1, -1, 1, 1]])
         gram[:, :2, 2:] = 0.5 * np.stack([e[:, 0].real, e[:, 1].imag, e[:, 2].imag, e[:, 3].real], -1).reshape(-1, 2, 2)
     # on a spectral sweep the first time is walked too: the map at t = 0 is the identity
     for chunk, cos, sin in _phases(sub, times[:1] if spectral else times):
+        moved[chunk] = _moved(cos, sin, sin2, cossin)
         x = _rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
-        g = gram[chunk]
-        g[:, rows, cols] = g[:, cols, rows] = (_trig_rows(cos, sin) @ bins)[:, :, 0]
-        g[:, :2, 2:] = x[:, :2] @ x[:, 2:].transpose(0, 2, 1)
+        gram[chunk, :2, 2:] = x[:, :2] @ x[:, 2:].transpose(0, 2, 1)
+    total = np.sum(w * w)
+    s_w, s_u, s_v, x_wu, x_uv = moved.T
+    rows, cols = (0, 1, 2, 3, 0, 2), (0, 1, 2, 3, 1, 3)
+    gram[:, rows, cols] = gram[:, cols, rows] = np.stack([total - s_w, s_u, total - s_u, s_v, x_wu, x_uv], axis=1)
     gram[:, 2:, :2] = gram[:, :2, 2:].transpose(0, 2, 1)
     matrix = (gram.reshape(-1, 16) @ _TRACE_MAP).reshape(-1, 4, 4)
     return matrix if np.ndim(t) else matrix[0]

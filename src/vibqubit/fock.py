@@ -34,18 +34,16 @@ MIN_LEVELS = 4
 TAIL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentAmplitudes:
     """Truncated number-state amplitudes of a coherent state.
 
     Attributes
     ----------
-    magnitude : float
-        Coherent amplitude (real, >= 0); ``magnitude**2`` is the mean
-        excitation number.
     weights : np.ndarray
-        ``weights[k - n_min] = exp(-magnitude**2 / 2) * magnitude**k / sqrt(k!)``
-        for ``k = n_min .. n_max``.  Read-only.
+        ``weights[k - n_min] = exp(-a**2 / 2) * a**k / sqrt(k!)`` for
+        ``k = n_min .. n_max``, ``a`` the coherent amplitude (real, >= 0).
+        Read-only.
     n_max : int
         Largest retained Fock index.
     tail_mass : float
@@ -54,7 +52,6 @@ class CoherentAmplitudes:
         Smallest retained Fock index.
     """
 
-    magnitude: float
     weights: np.ndarray
     n_max: int
     tail_mass: float
@@ -131,7 +128,7 @@ def coherent_amplitudes(magnitude: float, n_max: int, n_min: int = 0) -> Coheren
         w[k - n_min + 1] = w[k - n_min] * magnitude / math.sqrt(k + 1.0)
     tail = max(0.0, 1.0 - float(np.sum(w * w)))
     return CoherentAmplitudes(
-        magnitude=float(magnitude), weights=w, n_max=int(n_max), tail_mass=tail, n_min=int(n_min)
+        weights=w, n_max=int(n_max), tail_mass=tail, n_min=int(n_min)
     )
 
 

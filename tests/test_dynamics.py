@@ -412,6 +412,17 @@ def test_subsystems_build_their_windows_from_the_magnitudes():
         assert (wa.n_min, wb.n_min) == ((0, 0) if a == 1.0 else (3, 37))
 
 
+def test_subsystems_and_amplitudes_compare_by_identity():
+    # their array fields have no single truth value, so == is identity and
+    # both hash like any object: equal inputs build equal but distinct values
+    p = default_params(alpha_sq=1.0, beta_sq=4.0)
+    pairs = ((vibrating_subsystem(p), vibrating_subsystem(p)), (windowed_amplitudes(4.0, TAIL_TOL), windowed_amplitudes(4.0, TAIL_TOL)))
+    for a, b in pairs:
+        assert a == a and a != b and not a == b
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+        assert {a: 1, b: 2}[a] == 1
+
+
 def test_grid_past_its_byte_limit_is_refused(monkeypatch):
     p = default_params(alpha_sq=4.0, beta_sq=1.0)
     wa, wb = vibrating_subsystem(p).modes
@@ -588,9 +599,10 @@ def test_walk_is_the_same_whatever_the_cut(monkeypatch):
 
 
 def test_binned_diagonal_gram_matches_the_grid():
-    # the six one-frequency Gram entries, summed per block frequency, against
-    # the full Gram matrix of the basis tables; the unshifted variant's
-    # lowering weights flow through the bins too
+    # the map's six within-branch Gram entries, from what each block moves
+    # summed per block frequency, against the full Gram matrix of the basis
+    # tables (each map entry is one Gram entry times 1, -1 or +-i); the
+    # unshifted variant's lowering weights flow through the bins too
     p = default_params(alpha_sq=1.0, beta_sq=4.0)
     vibrating = vibrating_subsystem(p)
     subs = (
@@ -599,14 +611,12 @@ def test_binned_diagonal_gram_matches_the_grid():
         stationary_subsystem(p),
         dataclasses.replace(vibrating, weights_down=vibrating.weights),
     )
-    rows, cols = np.moveaxis(np.array(dynamics._DIAGONAL), -1, 0)
+    times = np.linspace(0.0, 900.0, 37)
     for sub in subs:
-        bins = dynamics._bins(sub, np.broadcast_to(np.eye(2), (3, 2, 2)))
-        for _, cos, sin in dynamics._phases(sub, np.linspace(0.0, 900.0, 37)):
-            x = dynamics._rotate_blocks(sub, cos, sin).reshape(cos.shape[0], 4, -1)
-            gram = x @ x.transpose(0, 2, 1)
-            binned = (dynamics._trig_rows(cos, sin) @ bins)[:, :, 0]
-            assert np.allclose(binned, gram[:, rows, cols], rtol=0.0, atol=1e-14)
+        x = tables(sub, times).reshape(times.size, 4, -1)
+        gram = x @ x.transpose(0, 2, 1)
+        expected = (gram.reshape(-1, 16) @ dynamics._TRACE_MAP).reshape(-1, 4, 4)
+        assert np.allclose(single_qubit_map(sub, times), expected, rtol=0.0, atol=1e-14)
 
 
 # --------------------------------------------------------------- spectral sums

@@ -1,4 +1,5 @@
 """l1 coherence and photon-phonon correlation moments."""
+import dataclasses
 import math
 
 import numpy as np
@@ -141,21 +142,29 @@ def grid_moments(psi, sub):
 
 
 @pytest.mark.parametrize(
-    "a_sq, b_sq, times",
+    "a_sq, b_sq, times, unshifted",
     [
-        (100.0, 100.0, np.linspace(0.0, 60.0, 13)),  # windowed, levels 36 to 179
-        (1.0, 4.0, np.linspace(0.0, 900.0, 31)),
-        (0.0, 4.0, np.linspace(0.0, 900.0, 31)),
-        (0.0, 0.0, np.linspace(0.0, 900.0, 31)),
+        (100.0, 100.0, np.linspace(0.0, 60.0, 13), False),  # windowed, levels 36 to 179
+        (1.0, 4.0, np.linspace(0.0, 900.0, 31), False),
+        (0.0, 4.0, np.linspace(0.0, 900.0, 31), False),
+        (0.0, 0.0, np.linspace(0.0, 900.0, 31), False),
+        # the falsification control: lowering weights not index-shifted
+        (1.0, 4.0, np.linspace(0.0, 900.0, 31), True),
     ],
 )
-def test_binned_moments_match_the_grid(a_sq, b_sq, times):
+def test_binned_moments_match_the_grid(a_sq, b_sq, times, unshifted):
     p = ModeParams(alpha_mag=math.sqrt(a_sq), beta_mag=math.sqrt(b_sq))
     sub = vibrating_subsystem(p)
     assert (sub.origin == (0, 0)) == (a_sq < 100.0)
+    if unshifted:
+        sub = dataclasses.replace(sub, weights_down=sub.weights)
     for q0 in (EXCITED, BALANCED, TILTED):
         sample = mode_moments(sub, q0, times)
-        n_a, n_b, joint, cross = grid_moments(evolve(sub, q0, times), sub)
+        psi = evolve(sub, q0, times)
+        n_a, n_b, joint, cross = grid_moments(psi, sub)
+        # the norm too, which the unshifted variant does not keep
+        norm = np.sum(np.abs(psi) ** 2, axis=(1, 2))
+        assert np.allclose(occupation_sums(sub, q0, times)[:, 0], norm, rtol=1e-13, atol=0.0)
         for got, want in ((sample.n_a_mean, n_a), (sample.n_b_mean, n_b), (sample.joint_mean, joint)):
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
         # a difference of two terms of size joint
